@@ -23,12 +23,9 @@
 //        --quick (compressed horizons, reduced sweeps), --csv,
 //        --out=PATH (default BENCH_chaos.json).
 #include <algorithm>
-#include <chrono>
-#include <string>
 #include <utility>
-#include <vector>
 
-#include "bench/common.hpp"
+#include "bench/gated_sweep.hpp"
 #include "exp/chaos.hpp"
 
 using namespace qnetp;
@@ -36,22 +33,6 @@ using namespace qnetp::literals;
 using namespace qnetp::bench;
 
 namespace {
-
-struct SweepPoint {
-  std::string label;
-  std::size_t jobs = 1;
-  std::size_t shards = 1;
-  double seconds = 0.0;
-  std::uint64_t digest = 0;
-  bool digests_match = true;
-  bool clean = true;
-  double slo_mean = 0.0;
-  double retransmits_mean = 0.0;
-  double dead_verdicts_mean = 0.0;
-  double decode_errors_mean = 0.0;
-  /// Sorted per-trial routed-view fingerprints (equivalence gate).
-  std::vector<std::pair<double, double>> views;
-};
 
 exp::ChaosConfig base_config(bool quick) {
   exp::ChaosConfig cfg;
@@ -92,234 +73,96 @@ exp::ChaosConfig cut_config(bool quick, bool silent) {
   return cfg;
 }
 
-SweepPoint run_point(const exp::ChaosConfig& cfg, const std::string& label,
-                     std::size_t jobs, std::size_t shards, std::size_t trials,
-                     std::uint64_t base_seed) {
-  SweepPoint p;
-  p.label = label;
-  p.jobs = jobs;
-  p.shards = shards;
-  exp::ChaosConfig run_cfg = cfg;
-  run_cfg.shards = shards;
-  const auto start = std::chrono::steady_clock::now();
-  const auto results =
-      exp::TrialRunner({jobs, base_seed})
-          .run(trials, [&run_cfg](const exp::Trial& t) {
-            return exp::chaos_trial(run_cfg, t.seed);
-          });
-  p.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  for (const auto& one : results) {
-    if (one.scalar_or("ok", 0.0) != 1.0 ||
-        one.scalar_or("consistency_ok", 0.0) != 1.0 ||
-        one.scalar_or("leak_free", 0.0) != 1.0 ||
-        one.scalar_or("quiescent", 0.0) != 1.0 ||
-        one.scalar_or("conservation_ok", 0.0) != 1.0) {
-      p.clean = false;
-    }
-    p.views.emplace_back(one.scalar_or("view_digest_hi", 0.0),
-                         one.scalar_or("view_digest_lo", 0.0));
-  }
-  std::sort(p.views.begin(), p.views.end());
-  const auto acc = exp::SummaryAccumulator::aggregate(results);
-  p.digest = acc.digest();
-  p.slo_mean = acc.scalar("slo").mean();
-  p.retransmits_mean = acc.scalar("retransmits").mean();
-  p.dead_verdicts_mean = acc.scalar("dead_verdicts").mean();
-  p.decode_errors_mean = acc.scalar("net_decode_errors").mean();
-  return p;
+/// The trial results of the single-point config `label`.
+const std::vector<exp::TrialResult>& results_of(
+    const GatedSweep::Points& points, const std::string& label) {
+  return std::find_if(points.begin(), points.end(),
+                      [&label](const auto& p) { return p.config == label; })
+      ->results;
 }
 
-void write_json(const std::string& path, std::size_t trials,
-                const std::vector<SweepPoint>& points, bool jobs_match,
-                bool shards_match, bool sweep_clean, bool partition_ok) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
+/// Sorted per-trial routed-view fingerprints.
+std::vector<std::pair<double, double>> views(
+    const std::vector<exp::TrialResult>& results) {
+  std::vector<std::pair<double, double>> out;
+  for (const auto& r : results) {
+    out.emplace_back(r.scalar_or("view_digest_hi", 0.0),
+                     r.scalar_or("view_digest_lo", 0.0));
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"chaos_soak\",\n"
-               "  \"trials_per_point\": %zu,\n"
-               "  \"jobs_digests_bit_identical\": %s,\n"
-               "  \"shards_digests_bit_identical\": %s,\n"
-               "  \"low_loss_trials_clean\": %s,\n"
-               "  \"partition_equals_sever\": %s,\n"
-               "  \"sweep\": [\n",
-               trials, jobs_match ? "true" : "false",
-               shards_match ? "true" : "false", sweep_clean ? "true" : "false",
-               partition_ok ? "true" : "false");
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto& p = points[i];
-    std::fprintf(f,
-                 "    {\"config\": \"%s\", \"jobs\": %zu, \"shards\": %zu, "
-                 "\"seconds\": %.6f, \"digest\": \"%016llx\", "
-                 "\"digests_match\": %s, \"clean\": %s, "
-                 "\"slo_mean\": %.4f, \"retransmits_mean\": %.1f, "
-                 "\"dead_verdicts_mean\": %.2f, "
-                 "\"decode_errors_mean\": %.1f}%s\n",
-                 p.label.c_str(), p.jobs, p.shards, p.seconds,
-                 static_cast<unsigned long long>(p.digest),
-                 p.digests_match ? "true" : "false",
-                 p.clean ? "true" : "false", p.slo_mean, p.retransmits_mean,
-                 p.dead_verdicts_mean, p.decode_errors_mean,
-                 i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_chaos.json";
-  const BenchArgs args = BenchArgs::parse(
-      argc, argv,
-      [&out](const std::string& a) {
-        if (a.rfind("--out=", 0) == 0) {
-          out = a.substr(6);
-          return true;
-        }
-        return false;
-      },
-      " [--out=PATH]");
+  GatedSweep sweep("chaos_soak", "BENCH_chaos.json", argc, argv);
+  const BenchArgs& args = sweep.args();
+  const bool quick = args.quick;
 
-  const std::size_t trials = args.trials(args.quick ? 1 : 3);
-  note_quick_cut(args, args.quick ? 1 : 3,
+  const std::size_t trials = args.trials(quick ? 1 : 3);
+  note_quick_cut(args, quick ? 1 : 3,
                  "6 s horizon, jobs/shards {1,2}, loss sweep {0, 5%} "
                  "(full: 20 s horizon, {1,2,4} sweeps, loss "
                  "{0, 2%, 5%, 12%})");
 
-  std::vector<std::size_t> jobs_sweep{1, 2};
-  std::vector<std::size_t> shards_sweep{1, 2};
-  std::vector<double> loss_sweep{0.0, 0.05};
-  if (!args.quick) {
-    jobs_sweep.push_back(4);
-    shards_sweep.push_back(4);
-    loss_sweep = {0.0, 0.02, 0.05, 0.12};
-  }
-  if (std::find(jobs_sweep.begin(), jobs_sweep.end(), args.jobs) ==
-      jobs_sweep.end()) {
-    jobs_sweep.push_back(args.jobs);
-    std::sort(jobs_sweep.begin(), jobs_sweep.end());
-  }
-  if (std::find(shards_sweep.begin(), shards_sweep.end(), args.shards) ==
-      shards_sweep.end()) {
-    if (args.shards > 4) {
-      std::fprintf(stderr, "bad value for --shards: %zu (must be <= 4, the "
-                   "fabric's region count)\n",
-                   args.shards);
-      return 2;
-    }
-    shards_sweep.push_back(args.shards);
-    std::sort(shards_sweep.begin(), shards_sweep.end());
-  }
-  const std::uint64_t base_seed = args.base_seed(9300);
-
-  std::vector<SweepPoint> points;
-  bool jobs_match = true, shards_match = true;
-  bool sweep_clean = true, partition_ok = true;
-
   // Gate 1: identical digests at every --jobs value (default profile).
-  {
-    const auto cfg = base_config(args.quick);
-    std::uint64_t reference = 0;
-    for (const std::size_t jobs : jobs_sweep) {
-      SweepPoint p = run_point(cfg, "grid", jobs, 1, trials, base_seed);
-      if (jobs == jobs_sweep.front()) {
-        reference = p.digest;
-      } else if (p.digest != reference) {
-        p.digests_match = false;
-        jobs_match = false;
-      }
-      sweep_clean = sweep_clean && p.clean;
-      points.push_back(p);
-    }
-  }
+  sweep.jobs_axis(quick ? std::vector<std::size_t>{1, 2}
+                        : std::vector<std::size_t>{1, 2, 4});
+  sweep.config("grid", GatedSweep::Axis::jobs,
+               trial_of(base_config(quick), exp::chaos_trial));
 
   // Gate 2: identical digests at every --shards value on the 4-region
   // fabric (jobs pinned to 1 so only the fold varies).
-  {
-    const auto cfg = regions_config(args.quick);
-    std::uint64_t reference = 0;
-    for (const std::size_t shards : shards_sweep) {
-      SweepPoint p = run_point(cfg, "regions4", 1, shards, trials, base_seed);
-      if (shards == shards_sweep.front()) {
-        reference = p.digest;
-      } else if (p.digest != reference) {
-        p.digests_match = false;
-        shards_match = false;
-      }
-      sweep_clean = sweep_clean && p.clean;
-      points.push_back(p);
-    }
-  }
+  const exp::ChaosConfig regions = regions_config(quick);
+  sweep.shards_axis(quick ? std::vector<std::size_t>{1, 2}
+                          : std::vector<std::size_t>{1, 2, 4},
+                    regions.regions);
+  sweep.config("regions4", GatedSweep::Axis::shards,
+               trial_of(regions, exp::chaos_trial));
 
   // Gate 3: loss sweep — every point at <= 5% must come back clean
   // (higher points are informational: the transport still converges but
   // the ladder may time circuits out).
-  for (const double loss : loss_sweep) {
+  for (const double loss : quick ? std::vector<double>{0.0, 0.05}
+                                 : std::vector<double>{0.0, 0.02, 0.05, 0.12}) {
     char label[32];
     std::snprintf(label, sizeof label, "loss%.0f%%", loss * 100.0);
-    SweepPoint p =
-        run_point(loss_config(args.quick, loss), label, 1, 1, trials,
-                  base_seed);
-    if (loss <= 0.05) sweep_clean = sweep_clean && p.clean;
-    points.push_back(p);
+    sweep.config(label, GatedSweep::Axis::none,
+                 trial_of(loss_config(quick, loss), exp::chaos_trial),
+                 loss <= 0.05);
   }
 
   // Gate 4: a silent partition (dead-peer verdict detection) must land
   // on the same routed view as an explicit sever of the same link, and
   // must actually have exercised the verdict path.
-  {
-    SweepPoint partition = run_point(cut_config(args.quick, true),
-                                     "partition", 1, 1, trials, base_seed);
-    SweepPoint sever = run_point(cut_config(args.quick, false), "sever", 1, 1,
-                                 trials, base_seed);
-    if (partition.views != sever.views) {
-      partition_ok = false;
-      partition.digests_match = false;
-      sever.digests_match = false;
-    }
-    if (partition.dead_verdicts_mean <= 0.0) partition_ok = false;
-    sweep_clean = sweep_clean && partition.clean && sever.clean;
-    points.push_back(partition);
-    points.push_back(sever);
-  }
+  sweep.config("partition", GatedSweep::Axis::none,
+               trial_of(cut_config(quick, true), exp::chaos_trial));
+  sweep.config("sever", GatedSweep::Axis::none,
+               trial_of(cut_config(quick, false), exp::chaos_trial));
+  sweep.check("partition_equals_sever",
+              "silent partition reaches dead verdicts and lands on the "
+              "explicit sever view",
+              [](const GatedSweep::Points& points) {
+                const auto& partition = results_of(points, "partition");
+                double verdicts = 0.0;
+                for (const auto& r : partition) {
+                  verdicts += r.scalar_or("dead_verdicts", 0.0);
+                }
+                return verdicts > 0.0 &&
+                       views(partition) == views(results_of(points, "sever"));
+              });
 
-  print_banner(std::cout,
-               "Chaos soak — fault injection + reliable transport, digests "
-               "bit-identical across --jobs and --shards");
-  TablePrinter table({"config", "jobs", "shards", "seconds", "slo",
-                      "retx", "verdicts", "decode_err", "digest", "match"});
-  for (const auto& p : points) {
-    char digest[32];
-    std::snprintf(digest, sizeof digest, "%016llx",
-                  static_cast<unsigned long long>(p.digest));
-    table.add_row({p.label, TablePrinter::num(double(p.jobs), 0),
-                   TablePrinter::num(double(p.shards), 0),
-                   TablePrinter::num(p.seconds, 3),
-                   TablePrinter::num(p.slo_mean, 3),
-                   TablePrinter::num(p.retransmits_mean, 1),
-                   TablePrinter::num(p.dead_verdicts_mean, 2),
-                   TablePrinter::num(p.decode_errors_mean, 1), digest,
-                   p.digests_match ? "yes" : "NO"});
-  }
-  emit(table, args);
-  std::printf("\naggregates %s across --jobs\n",
-              jobs_match ? "BIT-IDENTICAL" : "DIFFER (determinism BUG)");
-  std::printf("aggregates %s across --shards\n",
-              shards_match ? "BIT-IDENTICAL" : "DIFFER (determinism BUG)");
-  std::printf("low-loss trials %s (ok + consistency + leak-free + "
-              "quiescent + conservation)\n",
-              sweep_clean ? "CLEAN" : "DIRTY (robustness BUG)");
-  std::printf("silent partition %s the explicit sever view\n",
-              partition_ok ? "MATCHES" : "DIVERGES FROM (detection BUG)");
-
-  write_json(out, trials, points, jobs_match, shards_match, sweep_clean,
-             partition_ok);
-  std::printf("wrote %s\n", out.c_str());
-  return (jobs_match && shards_match && sweep_clean && partition_ok) ? 0 : 1;
+  sweep.gate("clean", {{"ok", 1.0},
+                       {"consistency_ok", 1.0},
+                       {"leak_free", 1.0},
+                       {"quiescent", 1.0},
+                       {"conservation_ok", 1.0}});
+  sweep.column("slo_mean", 4, mean_of("slo"));
+  sweep.column("retransmits_mean", 1, mean_of("retransmits"));
+  sweep.column("dead_verdicts_mean", 2, mean_of("dead_verdicts"));
+  sweep.column("decode_errors_mean", 1, mean_of("net_decode_errors"));
+  return sweep.run(trials, args.base_seed(9300),
+                   "Chaos soak — fault injection + reliable transport, "
+                   "digests bit-identical across --jobs and --shards");
 }

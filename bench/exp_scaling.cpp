@@ -2,87 +2,24 @@
 // worker pool.
 //
 // Runs the same --runs trials of the Fig. 9 latency/throughput scenario
-// at each --jobs value in the sweep, checks that every aggregate digest
-// is bit-identical to the serial one (the runner's determinism
-// contract), and records wall-clock scaling in BENCH_exp.json so the
-// runner's perf trajectory is tracked over time. Speedup is bounded by
-// the machine's core count (recorded in the JSON as
-// hardware_concurrency); on a 1-core container every jobs value
-// measures ~1x by construction.
+// at each --jobs value in the sweep, gates on every aggregate digest
+// being bit-identical (the runner's determinism contract), and records
+// wall-clock scaling in BENCH_exp.json so the runner's perf trajectory
+// is tracked over time. Speedup is bounded by the host core count
+// (recorded as hw_concurrency).
 //
 // Flags: --runs=N (trials, default 32), --quick (8 trials, short
 //        horizon), --csv, --jobs=N (extra jobs value to include),
 //        --out=PATH (JSON output path, default BENCH_exp.json).
-#include <algorithm>
-#include <chrono>
-#include <thread>
-
-#include "bench/common.hpp"
+#include "bench/gated_sweep.hpp"
 
 using namespace qnetp;
 using namespace qnetp::literals;
 using namespace qnetp::bench;
 
-namespace {
-
-struct ScalePoint {
-  std::size_t jobs = 1;
-  double seconds = 0.0;
-  std::uint64_t digest = 0;
-  double speedup = 1.0;
-};
-
-void write_json(const std::string& path, std::size_t runs,
-                const exp::LatencyThroughputConfig& cfg,
-                const std::vector<ScalePoint>& points, bool all_match) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"exp_scaling\",\n"
-               "  \"scenario\": \"fig9_latency_throughput\",\n"
-               "  \"workload\": {\n"
-               "    \"runs\": %zu,\n"
-               "    \"request_interval_ms\": %.0f,\n"
-               "    \"horizon_s\": %.0f,\n"
-               "    \"congested\": %s\n"
-               "  },\n"
-               "  \"hardware_concurrency\": %u,\n"
-               "  \"digests_bit_identical\": %s,\n"
-               "  \"jobs\": [\n",
-               runs, cfg.request_interval.as_ms(), cfg.horizon.as_seconds(),
-               cfg.congested ? "true" : "false",
-               std::thread::hardware_concurrency(),
-               all_match ? "true" : "false");
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"jobs\": %zu, \"seconds\": %.6f, \"speedup\": "
-                 "%.3f, \"digest\": \"%016llx\"}%s\n",
-                 points[i].jobs, points[i].seconds, points[i].speedup,
-                 static_cast<unsigned long long>(points[i].digest),
-                 i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  std::string out = "BENCH_exp.json";
-  const BenchArgs args = BenchArgs::parse(
-      argc, argv,
-      [&out](const std::string& a) {
-        if (a.rfind("--out=", 0) == 0) {
-          out = a.substr(6);
-          return true;
-        }
-        return false;
-      },
-      " [--out=PATH]");
+  GatedSweep sweep("exp_scaling", "BENCH_exp.json", argc, argv);
+  const BenchArgs& args = sweep.args();
 
   exp::LatencyThroughputConfig cfg;
   cfg.request_interval = Duration::ms(150);
@@ -97,51 +34,13 @@ int main(int argc, char** argv) {
   note_quick_cut(args, args.quick ? 8 : 32,
                  "6 s horizon (full: 55 s horizon, 32 trials)");
 
-  std::vector<std::size_t> jobs_sweep{1, 2, 4, 8};
-  if (std::find(jobs_sweep.begin(), jobs_sweep.end(), args.jobs) ==
-      jobs_sweep.end()) {
-    jobs_sweep.push_back(args.jobs);
-  }
-
-  const std::uint64_t base_seed = args.base_seed(2000);
-  auto trial = [&](const exp::Trial& t) {
-    return exp::latency_throughput_trial(cfg, t.seed);
-  };
-
-  std::vector<ScalePoint> points;
-  for (const std::size_t jobs : jobs_sweep) {
-    exp::TrialRunner runner({jobs, base_seed});
-    const auto start = std::chrono::steady_clock::now();
-    const auto results = runner.run(runs, trial);
-    const auto stop = std::chrono::steady_clock::now();
-    ScalePoint p;
-    p.jobs = jobs;
-    p.seconds = std::chrono::duration<double>(stop - start).count();
-    p.digest = exp::SummaryAccumulator::aggregate(results).digest();
-    points.push_back(p);
-  }
-  bool all_match = true;
-  for (auto& p : points) {
-    p.speedup = points.front().seconds / p.seconds;
-    if (p.digest != points.front().digest) all_match = false;
-  }
-
-  print_banner(std::cout, "Experiment-runner scaling — Fig. 9 dumbbell "
-                          "sweep, " + std::to_string(runs) + " trials");
-  TablePrinter table({"jobs", "seconds", "speedup", "aggregate digest"});
-  for (const auto& p : points) {
-    char digest[32];
-    std::snprintf(digest, sizeof digest, "%016llx",
-                  static_cast<unsigned long long>(p.digest));
-    table.add_row({std::to_string(p.jobs), TablePrinter::num(p.seconds, 4),
-                   TablePrinter::num(p.speedup, 3), digest});
-  }
-  emit(table, args);
-  std::printf("\nhardware cores: %u; aggregates %s across jobs values\n",
-              std::thread::hardware_concurrency(),
-              all_match ? "BIT-IDENTICAL" : "DIFFER (determinism BUG)");
-
-  write_json(out, runs, cfg, points, all_match);
-  std::printf("wrote %s\n", out.c_str());
-  return all_match ? 0 : 1;
+  sweep.jobs_axis({1, 2, 4, 8});
+  sweep.config("fig9", GatedSweep::Axis::jobs,
+               trial_of(cfg, exp::latency_throughput_trial));
+  sweep.field("speedup_max_jobs_vs_1", 3, [](const GatedSweep::Points& p) {
+    return p.front().seconds / p.back().seconds;
+  });
+  return sweep.run(runs, args.base_seed(2000),
+                   "Experiment-runner scaling — Fig. 9 dumbbell sweep, " +
+                       std::to_string(runs) + " trials");
 }

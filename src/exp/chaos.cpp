@@ -199,10 +199,9 @@ TrialResult chaos_trial(const ChaosConfig& cfg, std::uint64_t seed) {
     }
   }
 
-  double consistency_ok = 1.0;
+  const TrialHealth health = trial_health(*net);
   double updates_applied = 0.0;
   for (const NodeId id : net->node_ids()) {
-    if (!net->engine(id).consistency_check().empty()) consistency_ok = 0.0;
     updates_applied +=
         static_cast<double>(net->engine(id).counters().updates_applied);
   }
@@ -260,11 +259,8 @@ TrialResult chaos_trial(const ChaosConfig& cfg, std::uint64_t seed) {
   result.set("net_decode_errors",
              static_cast<double>(net_stats.total.decode_errors));
   result.set("conservation_ok", conservation_ok);
-  result.set("consistency_ok", consistency_ok);
-  result.set("leak_free", net->controller() == nullptr ||
-                                  net->controller()->planned_circuits() == 0
-                              ? 1.0
-                              : 0.0);
+  result.set("consistency_ok", health.consistent ? 1.0 : 0.0);
+  result.set("leak_free", health.leak_free ? 1.0 : 0.0);
   result.set("quiescent", net->quiescent() ? 1.0 : 0.0);
   result.set("view_digest_lo", static_cast<double>(view & 0xffffffffull));
   result.set("view_digest_hi", static_cast<double>(view >> 32));

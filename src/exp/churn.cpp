@@ -310,10 +310,9 @@ TrialResult churn_trial(const ChurnConfig& cfg, std::uint64_t seed) {
     }
   }
 
-  double consistency_ok = 1.0;
+  const TrialHealth health = trial_health(*net);
   double updates_applied = 0.0;
   for (const NodeId id : net->node_ids()) {
-    if (!net->engine(id).consistency_check().empty()) consistency_ok = 0.0;
     updates_applied +=
         static_cast<double>(net->engine(id).counters().updates_applied);
   }
@@ -331,11 +330,8 @@ TrialResult churn_trial(const ChurnConfig& cfg, std::uint64_t seed) {
   result.set("lsas_received", static_cast<double>(ls.lsas_received));
   result.set("lsas_aged_out", static_cast<double>(ls.lsas_aged_out));
   result.set("spf_runs", static_cast<double>(ls.spf_runs));
-  result.set("consistency_ok", consistency_ok);
-  result.set("leak_free", net->controller() == nullptr ||
-                                  net->controller()->planned_circuits() == 0
-                              ? 1.0
-                              : 0.0);
+  result.set("consistency_ok", health.consistent ? 1.0 : 0.0);
+  result.set("leak_free", health.leak_free ? 1.0 : 0.0);
   result.set("quiescent", net->quiescent() ? 1.0 : 0.0);
   result.set("events", static_cast<double>(ssim.events_executed()));
   ssim.stop();

@@ -29,6 +29,16 @@ qnp::AppRequest keep_request(std::uint64_t id, std::uint64_t pairs,
   return r;
 }
 
+TrialHealth trial_health(netsim::Network& net) {
+  TrialHealth health;
+  for (const NodeId id : net.node_ids()) {
+    if (!net.engine(id).consistency_check().empty()) health.consistent = false;
+  }
+  health.leak_free = net.controller() == nullptr ||
+                     net.controller()->planned_circuits() == 0;
+  return health;
+}
+
 namespace {
 /// Standard dumbbell endpoint wiring used by the Fig. 8/9/10 scenarios.
 struct CircuitSpec {

@@ -18,11 +18,26 @@
 #include "qbase/units.hpp"
 #include "qnp/request.hpp"
 
+namespace qnetp::netsim {
+class Network;
+}  // namespace qnetp::netsim
+
 namespace qnetp::exp {
 
 /// A standard KEEP request between two endpoints.
 qnp::AppRequest keep_request(std::uint64_t id, std::uint64_t pairs,
                              EndpointId head, EndpointId tail);
+
+/// End-of-trial fabric health, read after the run: the source of the
+/// consistency_ok / leak_free scalars the gated benches assert.
+struct TrialHealth {
+  /// Every engine's consistency_check() came back clean.
+  bool consistent = true;
+  /// The controller (if any) holds no planned circuits: all admitted
+  /// capacity was returned.
+  bool leak_free = true;
+};
+[[nodiscard]] TrialHealth trial_health(netsim::Network& net);
 
 // ---------------------------------------------------------------------------
 // Fig. 5 — single-link pair generation time CDF (EGP + photonic model).

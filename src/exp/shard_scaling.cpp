@@ -263,10 +263,7 @@ TrialResult shard_scaling_trial(const ShardScalingConfig& cfg,
   // complete or expire their keep-windows.
   ssim.run_until(traffic_end + cfg.latency_budget + Duration::seconds(1));
 
-  double consistency_ok = 1.0;
-  for (const NodeId id : node_ids) {
-    if (!net->engine(id).consistency_check().empty()) consistency_ok = 0.0;
-  }
+  const bool consistent = trial_health(*net).consistent;
 
   // Merge in flow order (candidate order), never completion-race order.
   double offered = 0.0, accepted = 0.0, shaped = 0.0, rejected = 0.0;
@@ -290,7 +287,7 @@ TrialResult shard_scaling_trial(const ShardScalingConfig& cfg,
   if (completed > 0.0) result.set("latency_mean_s", latency_sum / completed);
   result.set("classical_msgs",
              static_cast<double>(net->classical().messages_delivered()));
-  result.set("consistency_ok", consistency_ok);
+  result.set("consistency_ok", consistent ? 1.0 : 0.0);
   result.set("events", static_cast<double>(ssim.events_executed()));
   result.set("ok", 1.0);
   return result;
