@@ -88,23 +88,12 @@ static void BM_Dejmps(benchmark::State& state) {
 }
 BENCHMARK(BM_Dejmps);
 
-// Dual-representation qstate substrate (see also bench/qstate_hotpath for
-// the legacy-Kraus comparison and the BENCH_qstate.json emitter).
-
-static void BM_QStateApplyChannelBellDiag(benchmark::State& state) {
-  // Pauli mixture on the Bell-diagonal fast path: closed-form XOR mix.
-  TwoQubitState s = TwoQubitState::werner(0.95, BellIndex::phi_plus());
-  const Channel depol = Channel::depolarizing(0.01);
-  for (auto _ : state) {
-    s.apply_channel(0, depol);
-    benchmark::DoNotOptimize(s);
-  }
-}
-BENCHMARK(BM_QStateApplyChannelBellDiag);
+// qstate substrate (see also bench/qstate_hotpath for the legacy-Kraus
+// comparison and the BENCH_qstate.json emitter).
 
 static void BM_QStateApplyChannelExact(benchmark::State& state) {
-  // Same channel on the exact Mat4 path: cached PTM structured matvec.
-  TwoQubitState s(TwoQubitState::werner(0.95, BellIndex::phi_plus()).rho());
+  // Pauli mixture through the cached PTM structured matvec.
+  TwoQubitState s = TwoQubitState::werner(0.95, BellIndex::phi_plus());
   const Channel depol = Channel::depolarizing(0.01);
   for (auto _ : state) {
     s.apply_channel(0, depol);
@@ -115,7 +104,7 @@ BENCHMARK(BM_QStateApplyChannelExact);
 
 static void BM_QStateOracleFidelity(benchmark::State& state) {
   // The per-event hot loop: lazy decoherence advance + Bell-basis readout
-  // on a pair with finite-T1 memories (exact-path fallback).
+  // on a pair with finite-T1 memories.
   using namespace qnetp::literals;
   qdevice::EntangledPair pair(
       PairId{1}, TwoQubitState::werner(0.95, BellIndex::psi_plus()),
@@ -135,7 +124,7 @@ BENCHMARK(BM_QStateOracleFidelity);
 
 static void BM_QStateOracleFidelityNoDecay(benchmark::State& state) {
   // Same loop on no-decay memories: the decay pipeline is skipped
-  // entirely and readout is an array lookup.
+  // entirely and only the readout remains.
   using namespace qnetp::literals;
   qdevice::EntangledPair pair(
       PairId{1}, TwoQubitState::werner(0.95, BellIndex::psi_plus()),
@@ -153,10 +142,9 @@ static void BM_QStateOracleFidelityNoDecay(benchmark::State& state) {
 }
 BENCHMARK(BM_QStateOracleFidelityNoDecay);
 
-static void BM_QStateSwapBellDiag(benchmark::State& state) {
-  // Entanglement swap of two Bell-diagonal pairs: XOR-convolution fast
-  // path (compare BM_EntanglementSwap, which seeds the same inputs).
-  Rng rng(31);
+static void BM_QStateSwapExact(benchmark::State& state) {
+  // Swap with gate and readout noise: full tensor contraction.
+  Rng rng(37);
   const auto a = TwoQubitState::werner(0.95, BellIndex::phi_plus());
   const auto b = TwoQubitState::werner(0.9, BellIndex::psi_plus());
   qstate::SwapNoise noise;
@@ -166,33 +154,7 @@ static void BM_QStateSwapBellDiag(benchmark::State& state) {
     benchmark::DoNotOptimize(qstate::entanglement_swap(a, b, noise, rng));
   }
 }
-BENCHMARK(BM_QStateSwapBellDiag);
-
-static void BM_QStateSwapExact(benchmark::State& state) {
-  // The same swap with exact-path inputs: full tensor contraction.
-  Rng rng(37);
-  const TwoQubitState a(
-      TwoQubitState::werner(0.95, BellIndex::phi_plus()).rho());
-  const TwoQubitState b(
-      TwoQubitState::werner(0.9, BellIndex::psi_plus()).rho());
-  qstate::SwapNoise noise;
-  noise.gate_depolarizing = 0.0013;
-  noise.readout_flip_prob = 0.002;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(qstate::entanglement_swap(a, b, noise, rng));
-  }
-}
 BENCHMARK(BM_QStateSwapExact);
-
-static void BM_QStateDejmps(benchmark::State& state) {
-  // DEJMPS round on Bell-diagonal inputs: closed-form coefficients.
-  Rng rng(41);
-  const auto w = TwoQubitState::werner(0.8, BellIndex::phi_plus());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(qstate::dejmps(w, w, 0.0013, rng));
-  }
-}
-BENCHMARK(BM_QStateDejmps);
 
 static void BM_SimulatorScheduleRun(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,23 +1,17 @@
 // Quantum-substrate hot-path benchmark: the per-event advance-to +
 // oracle-fidelity loop that dominates the fig9/fig10 scenarios.
 //
-// Compares the pre-fast-path pipeline (heap-allocated Kraus channels
-// built per interval via kron expansion — an inline copy of the legacy
-// implementation) against the current dual-representation substrate
-// (closed-form allocation-free decay, Bell-diagonal fast path, cached
-// PTM superoperators for the exact fallback) on the same workload, and
+// Compares the legacy pipeline (heap-allocated Kraus channels built per
+// interval via kron expansion — an inline copy of the old implementation)
+// against the current substrate (allocation-free decay parameters applied
+// through Pauli-transfer-matrix superoperators) on the same workload, and
 // records the result in BENCH_qstate.json so the perf win is auditable.
 //
 // Usage: qstate_hotpath [--runs=N] [--quick] [--csv] [--out=PATH]
 //
-// Two workloads are measured:
-//  * exact_decoherence: finite T1 on both sides (the simulation preset's
-//    electron memory and the near-term carbon memory), which forces the
-//    loss-free fallback onto the exact Mat4 path — the dominant case in
-//    the paper's figures;
-//  * bell_diagonal: pure-dephasing memories (T1 = infinity), where the
-//    whole loop stays on the four-coefficient fast path.
-// The headline "speedup" is the exact_decoherence one (conservative).
+// The workload, exact_decoherence, has finite T1 on both sides (the
+// simulation preset's electron memory and the near-term carbon memory),
+// the case the paper's figures run.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -43,7 +37,7 @@ using qnetp::qstate::MemoryDecay;
 using qnetp::qstate::TwoQubitState;
 
 // ---------------------------------------------------------------------------
-// Legacy substrate: verbatim copy of the pre-fast-path implementation.
+// Legacy substrate: verbatim copy of the per-interval Kraus implementation.
 // Channels are vectors of heap-allocated Kraus operators rebuilt per
 // interval; application kron-expands each operator to 4x4 and does two
 // complex matrix products per Kraus term.
@@ -215,7 +209,7 @@ void write_json(const std::string& path, const std::vector<Measured>& all,
         "    {\"name\": \"%s\", \"pairs\": %zu, \"events\": %zu,\n"
         "     \"legacy_kraus\": {\"ops\": %zu, \"seconds\": %.6f, "
         "\"kops_per_sec\": %.2f},\n"
-        "     \"dual_repr\": {\"ops\": %zu, \"seconds\": %.6f, "
+        "     \"current\": {\"ops\": %zu, \"seconds\": %.6f, "
         "\"kops_per_sec\": %.2f},\n"
         "     \"speedup\": %.3f}%s\n",
         m.workload.name, m.workload.pairs, m.workload.events, m.legacy.ops,
@@ -244,13 +238,9 @@ int main(int argc, char** argv) {
       " [--out=PATH]");
 
   std::vector<Workload> workloads = {
-      // Simulation-preset electron memory + near-term carbon memory:
-      // finite T1 forces the exact-path fallback on every advance.
+      // Simulation-preset electron memory + near-term carbon memory.
       {"exact_decoherence", MemoryDecay{3600_s, 60_s},
        MemoryDecay{360_s, 60_s}},
-      // Pure dephasing (T1 = infinity): stays Bell-diagonal throughout.
-      {"bell_diagonal", MemoryDecay{Duration::max(), 60_s},
-       MemoryDecay{Duration::max(), 60_s}},
   };
   if (args.quick) {
     for (auto& w : workloads) {
@@ -279,7 +269,7 @@ int main(int argc, char** argv) {
   }
 
   qnetp::TablePrinter table(
-      {"workload", "ops", "legacy kops/s", "dual-repr kops/s", "speedup"});
+      {"workload", "ops", "legacy kops/s", "current kops/s", "speedup"});
   for (const Measured& m : results) {
     table.add_row({m.workload.name, std::to_string(m.legacy.ops),
                    qnetp::TablePrinter::num(m.legacy.kops()),

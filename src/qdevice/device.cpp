@@ -93,10 +93,6 @@ void QuantumDevice::entanglement_swap(
     // and right side 0; if our local qubit is on the other side, mirror
     // the state by swapping tensor factors.
     auto mirror = [](const qstate::TwoQubitState& s) {
-      // Bell-diagonal mixtures are invariant under qubit exchange (each
-      // Bell projector is; Psi- only picks up a global phase), so the
-      // fast representation passes through untouched.
-      if (s.is_bell_diagonal()) return s;
       qstate::Mat4 m;
       const qstate::Mat4& r = s.rho();
       for (std::size_t i = 0; i < 4; ++i)

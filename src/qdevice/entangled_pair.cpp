@@ -97,13 +97,6 @@ void EntangledPair::pauli_correct_to(int side, BellIndex target,
 void EntangledPair::break_side(int discarded_side, TimePoint now) {
   QNETP_ASSERT(discarded_side == 0 || discarded_side == 1);
   advance_to(now);
-  if (state_.is_bell_diagonal()) {
-    // Both reduced states of a Bell-diagonal mixture are maximally mixed,
-    // so the rebuilt uncorrelated state is I/4 with no partial trace.
-    state_ = TwoQubitState::maximally_mixed();
-    broken_ = true;
-    return;
-  }
   // Trace out the discarded qubit; rebuild the joint state as
   // (I/2) (x) reduced so later contractions involving the survivor remain
   // well-defined and correctly uncorrelated.

@@ -14,9 +14,8 @@ using qstate::Mat4;
 using qstate::TwoQubitState;
 
 PhotonicLinkModel::PhotonicLinkModel(const HardwareParams& hw,
-                                     const FiberParams& fiber,
-                                     HeraldScheme scheme)
-    : hw_(hw), fiber_(fiber), scheme_(scheme) {
+                                     const FiberParams& fiber)
+    : hw_(hw), fiber_(fiber) {
   hw_.validate();
   fiber_.validate();
   eta_ = hw_.phys.p_zero_phonon * hw_.phys.collection_efficiency *
@@ -35,10 +34,6 @@ PhotonicLinkModel::PhotonicLinkModel(const HardwareParams& hw,
 }
 
 void PhotonicLinkModel::locate_optimum() {
-  if (scheme_ == HeraldScheme::double_click) {
-    alpha_opt_ = 0.0;
-    return;
-  }
   // fidelity(alpha) is unimodal: rising while signal outgrows dark counts,
   // falling once the bright-state admixture dominates. Golden-section
   // search over [min_alpha, max_alpha].
@@ -67,16 +62,9 @@ void PhotonicLinkModel::locate_optimum() {
 
 double PhotonicLinkModel::signal_prob(double alpha) const {
   QNETP_ASSERT(alpha >= 0.0 && alpha <= 1.0);
-  switch (scheme_) {
-    case HeraldScheme::single_click:
-      // One of the two emitted photons is detected (each bright with
-      // amplitude alpha); second-order term removes double counting.
-      return 2.0 * alpha * eta_ * (1.0 - 0.5 * alpha * eta_);
-    case HeraldScheme::double_click:
-      // Both photons must arrive; half the Bell states are heralded.
-      return 0.5 * eta_ * eta_;
-  }
-  return 0.0;
+  // One of the two emitted photons is detected (each bright with
+  // amplitude alpha); second-order term removes double counting.
+  return 2.0 * alpha * eta_ * (1.0 - 0.5 * alpha * eta_);
 }
 
 double PhotonicLinkModel::dark_prob() const {
@@ -102,34 +90,16 @@ TwoQubitState PhotonicLinkModel::produced_state(double alpha) const {
   //  * w_good: proper spin-spin entangled component; its coherence is
   //    reduced by interferometer visibility and optical phase noise,
   //    mixing Psi+ with Psi-;
-  //  * w_bright (single-click only): both emitters bright -> |11>;
+  //  * w_bright: both emitters bright -> |11>;
   //  * w_dexc: double excitation -> an extra photon dephases the pair
   //    completely (maximally mixed);
   //  * w_dark: the click was a dark count (maximally mixed).
-  double w_bright = 0.0;
-  if (scheme_ == HeraldScheme::single_click) w_bright = alpha;
+  const double w_bright = alpha;
   const double w_dexc = (1.0 - w_bright) * hw_.phys.p_double_excitation;
   const double w_good = (1.0 - w_bright) * (1.0 - hw_.phys.p_double_excitation);
   const double w_dark = dark_fraction(alpha);
 
   const double c = coherence_;
-
-  if (w_bright <= 0.0) {
-    // Without the bright |11> admixture (double-click scheme, or a
-    // single-click link driven at alpha = 0) the heralded mixture is
-    // exactly Bell-diagonal: emit it on the fast-path representation so
-    // downstream decay/swap/distillation stays closed-form.
-    const double mixed = (1.0 - w_dark) * w_dexc + w_dark;
-    qstate::BellDiagonal coeffs{
-        mixed * 0.25,
-        (1.0 - w_dark) * w_good * (1.0 + c) / 2.0 + mixed * 0.25,
-        mixed * 0.25,
-        (1.0 - w_dark) * w_good * (1.0 - c) / 2.0 + mixed * 0.25,
-    };
-    TwoQubitState state = TwoQubitState::bell_diagonal(coeffs);
-    state.renormalize();
-    return state;
-  }
 
   Mat4 rho = Mat4::zero();
   // Good component: ((1+c)/2) Psi+ + ((1-c)/2) Psi-.
@@ -159,10 +129,6 @@ double PhotonicLinkModel::max_fidelity() const { return fidelity(alpha_opt_); }
 bool PhotonicLinkModel::solve_alpha(double f_min, double* alpha_out) const {
   QNETP_ASSERT(alpha_out != nullptr);
   QNETP_ASSERT(f_min >= 0.0 && f_min <= 1.0);
-  if (scheme_ == HeraldScheme::double_click) {
-    *alpha_out = 0.0;
-    return fidelity(0.0) >= f_min;
-  }
   if (fidelity(alpha_opt_) < f_min) return false;
   if (fidelity(max_alpha) >= f_min) {
     *alpha_out = max_alpha;

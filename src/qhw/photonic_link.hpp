@@ -11,9 +11,6 @@
 // success probability (p ~ 2 * alpha * eta). The link layer inverts
 // fidelity(alpha) to honour a minimum-fidelity request.
 //
-// A double-click (Barrett-Kok) mode is also provided: fixed fidelity,
-// p ~ eta^2/2, used for comparison/ablation.
-//
 // Generation attempts are sampled geometrically and fast-forwarded: the
 // simulator sees one event per produced pair, not one per attempt, but the
 // attempt count is exact (it drives nuclear dephasing of storage qubits).
@@ -29,11 +26,6 @@
 
 namespace qnetp::qhw {
 
-enum class HeraldScheme {
-  single_click,  ///< tunable alpha, F ~ (1 - alpha), p ~ 2 alpha eta
-  double_click,  ///< fixed F, p ~ eta^2 / 2
-};
-
 struct GenerationSample {
   std::uint64_t attempts = 0;  ///< number of attempts including success
   Duration elapsed;            ///< total elapsed time until herald
@@ -41,8 +33,7 @@ struct GenerationSample {
 
 class PhotonicLinkModel {
  public:
-  PhotonicLinkModel(const HardwareParams& hw, const FiberParams& fiber,
-                    HeraldScheme scheme = HeraldScheme::single_click);
+  PhotonicLinkModel(const HardwareParams& hw, const FiberParams& fiber);
 
   /// Per-photon detection efficiency: zero-phonon fraction x collection
   /// x half-length fibre transmission x detector efficiency.
@@ -58,16 +49,13 @@ class PhotonicLinkModel {
   /// than a photon, conditioned on a click at the given alpha.
   double dark_fraction(double alpha) const;
 
-  /// The Bell state the scheme announces on success (Psi+ for both
-  /// schemes modelled here).
+  /// The Bell state the scheme announces on success (Psi+).
   qstate::BellIndex announced_bell() const {
     return qstate::BellIndex::psi_plus();
   }
 
-  /// The heralded pair state for the given alpha. Exact either way:
-  /// without a bright |11> admixture (double-click scheme, or alpha = 0)
-  /// the mixture is Bell-diagonal and is emitted on the fast-path
-  /// representation; otherwise it is an exact density matrix.
+  /// The heralded pair state for the given alpha. For alpha > 0 the
+  /// bright |11> admixture puts it outside the Bell-diagonal family.
   qstate::TwoQubitState produced_state(double alpha) const;
 
   /// Fidelity of produced_state(alpha) to the announced Bell state.
@@ -101,7 +89,6 @@ class PhotonicLinkModel {
   GenerationSample sample_generation(double alpha, Rng& rng) const;
 
   const FiberParams& fiber() const { return fiber_; }
-  HeraldScheme scheme() const { return scheme_; }
 
  private:
   double signal_prob(double alpha) const;
@@ -110,7 +97,6 @@ class PhotonicLinkModel {
 
   HardwareParams hw_;
   FiberParams fiber_;
-  HeraldScheme scheme_;
   double eta_ = 0.0;
   double coherence_ = 1.0;  ///< visibility x phase-noise factor
   double alpha_opt_ = min_alpha;

@@ -59,6 +59,10 @@ constexpr std::array<BellIndex, 4> all_bell_indices() {
   return {BellIndex(0), BellIndex(1), BellIndex(2), BellIndex(3)};
 }
 
+/// Coefficients of a Bell-diagonal mixture sum_i c_i |B_i><B_i|, in
+/// BellIndex code order (Phi+, Psi+, Phi-, Psi-).
+using BellDiagonal = std::array<double, 4>;
+
 /// The state vector |B_idx> in the |00>,|01>,|10>,|11> basis.
 Vec4 bell_vector(BellIndex idx);
 

@@ -69,12 +69,6 @@ Channel::Channel(std::span<const Mat2> kraus) {
   ptm_ = Ptm4::from_kraus(kraus_.data(), n_);
 }
 
-Channel& Channel::tag_pauli_mix(const PauliDeltaProbs& probs) {
-  pauli_mix_ = true;
-  pauli_probs_ = probs;
-  return *this;
-}
-
 bool Channel::is_trace_preserving(double tol) const {
   Mat2 acc = Mat2::zero();
   for (const auto& k : kraus()) acc = acc + k.adjoint() * k;
@@ -112,17 +106,7 @@ Channel Channel::after(const Channel& other) const {
                            vecs(2, e) * scale, vecs(3, e) * scale};
     }
   }
-  Channel result(std::span<const Mat2>{combined.data(), n});
-  if (pauli_mix_ && other.pauli_mix_) {
-    // Paulis compose by XOR of their delta codes (up to global phase), so
-    // the mixture probabilities XOR-convolve.
-    PauliDeltaProbs q{};
-    for (std::size_t a = 0; a < 4; ++a)
-      for (std::size_t b = 0; b < 4; ++b)
-        q[a ^ b] += pauli_probs_[a] * other.pauli_probs_[b];
-    result.tag_pauli_mix(q);
-  }
-  return result;
+  return Channel(std::span<const Mat2>{combined.data(), n});
 }
 
 Mat2 Channel::apply(const Mat2& rho) const { return apply_ptm(rho, ptm_); }
@@ -135,7 +119,7 @@ Mat4 Channel::apply_to_side(const Mat4& rho, int side) const {
 }
 
 Channel Channel::identity() {
-  return Channel({Mat2::identity()}).tag_pauli_mix({1.0, 0.0, 0.0, 0.0});
+  return Channel({Mat2::identity()});
 }
 
 Channel Channel::dephasing(double lambda) {
@@ -143,8 +127,7 @@ Channel Channel::dephasing(double lambda) {
   // K0 = sqrt(1 - lambda/2) I, K1 = sqrt(lambda/2) Z: off-diagonals scale
   // by (1 - lambda).
   const double p = lambda / 2.0;
-  return Channel({pauli_i() * std::sqrt(1.0 - p), pauli_z() * std::sqrt(p)})
-      .tag_pauli_mix({1.0 - p, 0.0, p, 0.0});
+  return Channel({pauli_i() * std::sqrt(1.0 - p), pauli_z() * std::sqrt(p)});
 }
 
 Channel Channel::amplitude_damping(double gamma) {
@@ -161,8 +144,7 @@ Channel Channel::depolarizing(double p) {
 
 Channel Channel::bit_flip(double p) {
   QNETP_ASSERT(p >= 0.0 && p <= 1.0);
-  return Channel({pauli_i() * std::sqrt(1.0 - p), pauli_x() * std::sqrt(p)})
-      .tag_pauli_mix({1.0 - p, p, 0.0, 0.0});
+  return Channel({pauli_i() * std::sqrt(1.0 - p), pauli_x() * std::sqrt(p)});
 }
 
 Channel Channel::pauli_channel(double pi, double px, double py, double pz) {
@@ -174,10 +156,7 @@ Channel Channel::pauli_channel(double pi, double px, double py, double pz) {
   if (px > 0) kraus[n++] = pauli_x() * std::sqrt(px);
   if (py > 0) kraus[n++] = pauli_y() * std::sqrt(py);
   if (pz > 0) kraus[n++] = pauli_z() * std::sqrt(pz);
-  // Delta order is (I, X, Z, Y): X flips the Bell x-bit, Z the z-bit,
-  // Y both.
-  return Channel(std::span<const Mat2>{kraus.data(), n})
-      .tag_pauli_mix({pi, px, pz, py});
+  return Channel(std::span<const Mat2>{kraus.data(), n});
 }
 
 Channel Channel::unitary(const Mat2& u) { return Channel({u}); }

@@ -9,18 +9,15 @@
 // A Channel is a fixed-size value type: its Kraus operators live in an
 // inline array (no heap allocation) and its one-sided real Pauli-transfer
 // matrix is precomputed at construction, so application is a cached
-// structured matvec instead of per-call kron + complex Kraus sums. Pauli
-// mixtures (identity / dephasing / depolarizing / bit-flip / pauli_channel)
-// additionally carry their Bell-delta probabilities so the Bell-diagonal
-// fast path of TwoQubitState can apply them in closed form.
+// structured matvec instead of per-call kron + complex Kraus sums.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <initializer_list>
 #include <span>
 
 #include "qbase/units.hpp"
-#include "qstate/bell_diag.hpp"
 #include "qstate/complex_mat.hpp"
 #include "qstate/ptm.hpp"
 
@@ -42,11 +39,6 @@ class Channel {
 
   /// Cached Pauli-transfer matrix of the map.
   const Ptm4& ptm() const { return ptm_; }
-
-  /// Whether the channel is a probabilistic mixture of Paulis (then
-  /// pauli_delta_probs() drives the Bell-diagonal closed form).
-  bool is_pauli_mix() const { return pauli_mix_; }
-  const PauliDeltaProbs& pauli_delta_probs() const { return pauli_probs_; }
 
   /// Verify sum_k K^dagger K == I within tol (trace preservation).
   bool is_trace_preserving(double tol = 1e-9) const;
@@ -81,20 +73,14 @@ class Channel {
   static Channel unitary(const Mat2& u);
 
  private:
-  /// Tag a factory-built Pauli mixture with its Bell-delta probabilities.
-  Channel& tag_pauli_mix(const PauliDeltaProbs& probs);
-
   std::array<Mat2, kMaxKraus> kraus_{};
   std::size_t n_ = 0;
   Ptm4 ptm_{};
-  bool pauli_mix_ = false;
-  PauliDeltaProbs pauli_probs_{};
 };
 
 /// Closed-form parameters of the memory-decay map over one idle interval:
 /// amplitude damping with probability `gamma` followed by pure dephasing
-/// with `lambda`. gamma == 0 means the map is pure dephasing (which the
-/// Bell-diagonal fast path applies in closed form).
+/// with `lambda`. gamma == 0 means the map is pure dephasing.
 struct DecayParams {
   double gamma = 0.0;
   double lambda = 0.0;

@@ -8,21 +8,15 @@
 namespace qnetp::qstate {
 
 BellDiagonal bell_diagonal_of(const TwoQubitState& state) {
-  if (state.is_bell_diagonal()) {
-    BellDiag d{state.bell_coeffs()};
-    d.clamp_and_normalize();
-    return d.c;
-  }
-  BellDiag d;
-  for (BellIndex b : all_bell_indices()) {
-    d.c[b.code()] = state.fidelity(b);
-  }
-  d.clamp_and_normalize();
-  return d.c;
-}
-
-TwoQubitState from_bell_diagonal(const BellDiagonal& coeffs) {
-  return TwoQubitState::bell_diagonal(coeffs);
+  // Keep the Bell-basis diagonal, clamp rounding negatives to zero and
+  // renormalise.
+  BellDiagonal c{};
+  for (BellIndex b : all_bell_indices())
+    c[b.code()] = std::max(0.0, state.fidelity(b));
+  const double sum = c[0] + c[1] + c[2] + c[3];
+  QNETP_ASSERT_MSG(sum > 1e-12, "Bell-diagonal coefficients sum to zero");
+  for (double& x : c) x /= sum;
+  return c;
 }
 
 double dejmps_map(const BellDiagonal& a, const BellDiagonal& b,
@@ -49,43 +43,24 @@ double dejmps_map(const BellDiagonal& a, const BellDiagonal& b,
 
 DistillResult dejmps(const TwoQubitState& a, const TwoQubitState& b,
                      double gate_depolarizing, Rng& rng) {
-  BellDiagonal da;
-  BellDiagonal db;
-  if (a.is_bell_diagonal() && b.is_bell_diagonal()) {
-    // Fast path: depolarizing preserves Bell-diagonality, so the whole
-    // round is closed-form on the coefficients.
-    BellDiag fa{a.bell_coeffs()};
-    BellDiag fb{b.bell_coeffs()};
-    if (gate_depolarizing > 0.0) {
-      fa.apply_depolarizing(gate_depolarizing);
-      fa.apply_depolarizing(gate_depolarizing);
-      fb.apply_depolarizing(gate_depolarizing);
-      fb.apply_depolarizing(gate_depolarizing);
-    }
-    fa.clamp_and_normalize();
-    fb.clamp_and_normalize();
-    da = fa.c;
-    db = fb.c;
-  } else {
-    TwoQubitState na = a;
-    TwoQubitState nb = b;
-    if (gate_depolarizing > 0.0) {
-      const Channel depol = Channel::depolarizing(gate_depolarizing);
-      na.apply_channel(0, depol);
-      na.apply_channel(1, depol);
-      nb.apply_channel(0, depol);
-      nb.apply_channel(1, depol);
-    }
-    da = bell_diagonal_of(na);
-    db = bell_diagonal_of(nb);
+  TwoQubitState na = a;
+  TwoQubitState nb = b;
+  if (gate_depolarizing > 0.0) {
+    const Channel depol = Channel::depolarizing(gate_depolarizing);
+    na.apply_channel(0, depol);
+    na.apply_channel(1, depol);
+    nb.apply_channel(0, depol);
+    nb.apply_channel(1, depol);
   }
+  const BellDiagonal da = bell_diagonal_of(na);
+  const BellDiagonal db = bell_diagonal_of(nb);
   BellDiagonal out{};
   const double p_succ = dejmps_map(da, db, &out);
 
   DistillResult result;
   result.success_probability = p_succ;
   result.success = rng.bernoulli(std::clamp(p_succ, 0.0, 1.0));
-  if (result.success) result.state = from_bell_diagonal(out);
+  if (result.success) result.state = TwoQubitState::bell_diagonal(out);
   return result;
 }
 

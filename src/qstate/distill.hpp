@@ -12,7 +12,6 @@
 #include <array>
 
 #include "qbase/rng.hpp"
-#include "qstate/bell_diag.hpp"
 #include "qstate/two_qubit_state.hpp"
 
 namespace qnetp::qstate {
@@ -20,9 +19,6 @@ namespace qnetp::qstate {
 /// Project a state onto its Bell-diagonal part (twirl): keeps the four
 /// diagonal coefficients in the Bell basis and renormalises.
 [[nodiscard]] BellDiagonal bell_diagonal_of(const TwoQubitState& state);
-
-/// Reconstruct a Bell-diagonal state.
-[[nodiscard]] TwoQubitState from_bell_diagonal(const BellDiagonal& coeffs);
 
 struct DistillResult {
   bool success = false;

@@ -6,61 +6,9 @@
 
 namespace qnetp::qstate {
 
-namespace {
-
-/// Fast path: for Bell-diagonal inputs the four measurement outcomes are
-/// exactly equiprobable and the outer pair is the XOR-convolution of the
-/// input mixtures shifted by the outcome (Appendix C).
-SwapOutcome swap_bell_diagonal(const TwoQubitState& left,
-                               const TwoQubitState& right,
-                               const SwapNoise& noise, Rng& rng) {
-  BellDiag l{left.bell_coeffs()};
-  BellDiag r{right.bell_coeffs()};
-  if (noise.gate_depolarizing > 0.0) {
-    l.apply_depolarizing(noise.gate_depolarizing);
-    r.apply_depolarizing(noise.gate_depolarizing);
-  }
-  // Mirror the exact path's sampling structure (one uniform draw against
-  // the cumulative outcome weights) so the two representations consume
-  // the RNG identically.
-  const double total = l.sum() * r.sum();
-  QNETP_ASSERT_MSG(total > 1e-12, "swap outcome distribution degenerate");
-  const double quarter = 0.25 * total;
-  double x = rng.uniform() * total;
-  int pick = 3;
-  for (int i = 0; i < 4; ++i) {
-    x -= quarter;
-    if (x < 0) {
-      pick = i;
-      break;
-    }
-  }
-
-  SwapOutcome result;
-  result.true_outcome = BellIndex{static_cast<std::uint8_t>(pick)};
-  result.probability = 0.25;
-  BellDiag out = swap_compose(l, r, result.true_outcome);
-  out.normalize();
-  result.state = TwoQubitState::bell_diagonal(out.c);
-
-  // Readout errors corrupt the announcement, not the state.
-  std::uint8_t announced = result.true_outcome.code();
-  if (noise.readout_flip_prob > 0.0) {
-    if (rng.bernoulli(noise.readout_flip_prob)) announced ^= 1;  // x bit
-    if (rng.bernoulli(noise.readout_flip_prob)) announced ^= 2;  // z bit
-  }
-  result.announced_outcome = BellIndex{announced};
-  return result;
-}
-
-}  // namespace
-
 SwapOutcome entanglement_swap(const TwoQubitState& left,
                               const TwoQubitState& right,
                               const SwapNoise& noise, Rng& rng) {
-  if (left.is_bell_diagonal() && right.is_bell_diagonal()) {
-    return swap_bell_diagonal(left, right, noise, rng);
-  }
   // Apply gate noise to the measured qubits: B = side 1 of left,
   // C = side 0 of right.
   TwoQubitState l = left;

@@ -7,44 +7,36 @@
 
 namespace qnetp::qstate {
 
-namespace {
+TwoQubitState::TwoQubitState()
+    : TwoQubitState(bell_diagonal({0.25, 0.25, 0.25, 0.25})) {}
 
-/// rho = sum_i c_i |B_i><B_i| written out: the Phi states live on the
-/// {|00>, |11>} block, the Psi states on {|01>, |10>}.
-Mat4 materialize_bell_diag(const BellDiagonal& c) {
+TwoQubitState::TwoQubitState(const Mat4& rho) : rho_(rho) {}
+
+TwoQubitState TwoQubitState::bell(BellIndex idx) {
+  BellDiagonal c{};
+  c[idx.code()] = 1.0;
+  return bell_diagonal(c);
+}
+
+TwoQubitState TwoQubitState::werner(double fidelity, BellIndex idx) {
+  QNETP_ASSERT(fidelity >= 0.0 && fidelity <= 1.0);
+  const double rest = (1.0 - fidelity) / 3.0;
+  BellDiagonal c{rest, rest, rest, rest};
+  c[idx.code()] = fidelity;
+  return bell_diagonal(c);
+}
+
+TwoQubitState TwoQubitState::maximally_mixed() { return TwoQubitState(); }
+
+TwoQubitState TwoQubitState::bell_diagonal(const BellDiagonal& c) {
+  // rho = sum_i c_i |B_i><B_i| written out: the Phi states live on the
+  // {|00>, |11>} block, the Psi states on {|01>, |10>}.
   Mat4 rho = Mat4::zero();
   rho(0, 0) = rho(3, 3) = 0.5 * (c[0] + c[2]);
   rho(0, 3) = rho(3, 0) = 0.5 * (c[0] - c[2]);
   rho(1, 1) = rho(2, 2) = 0.5 * (c[1] + c[3]);
   rho(1, 2) = rho(2, 1) = 0.5 * (c[1] - c[3]);
-  return rho;
-}
-
-}  // namespace
-
-TwoQubitState::TwoQubitState() = default;
-
-TwoQubitState::TwoQubitState(const Mat4& rho)
-    : repr_(Repr::exact), rho_(rho) {}
-
-TwoQubitState::TwoQubitState(const BellDiag& bd)
-    : repr_(Repr::bell_diag), bd_(bd) {}
-
-TwoQubitState TwoQubitState::bell(BellIndex idx) {
-  return TwoQubitState(BellDiag::bell(idx));
-}
-
-TwoQubitState TwoQubitState::werner(double fidelity, BellIndex idx) {
-  QNETP_ASSERT(fidelity >= 0.0 && fidelity <= 1.0);
-  return TwoQubitState(BellDiag::werner(fidelity, idx));
-}
-
-TwoQubitState TwoQubitState::maximally_mixed() {
-  return TwoQubitState(BellDiag::maximally_mixed());
-}
-
-TwoQubitState TwoQubitState::bell_diagonal(const BellDiagonal& coeffs) {
-  return TwoQubitState(BellDiag{coeffs});
+  return TwoQubitState(rho);
 }
 
 TwoQubitState TwoQubitState::computational(int b1, int b2) {
@@ -55,22 +47,22 @@ TwoQubitState TwoQubitState::computational(int b1, int b2) {
   return TwoQubitState(rho);
 }
 
-const Mat4& TwoQubitState::rho() const {
-  if (repr_ == Repr::bell_diag && !rho_cache_valid_) {
-    rho_ = materialize_bell_diag(bd_.c);
-    rho_cache_valid_ = true;
-  }
-  return rho_;
-}
-
-void TwoQubitState::demote() {
-  if (repr_ == Repr::exact) return;
-  rho();  // fill the cache
-  repr_ = Repr::exact;
+bool TwoQubitState::is_bell_diagonal() const {
+  // Exactly the matrices of bell_diagonal(): equal diagonals and a real
+  // anti-diagonal within each block, nothing coupling the two blocks.
+  constexpr double tol = 1e-12;
+  const auto near = [](Cplx a, Cplx b) { return std::abs(a - b) <= tol; };
+  for (std::size_t i = 0; i < 4; ++i)
+    for (std::size_t j = 0; j < 4; ++j) {
+      const bool same_block = ((i ^ j) == 0) || ((i ^ j) == 3);
+      if (!same_block && !near(rho_(i, j), 0.0)) return false;
+    }
+  return near(rho_(0, 0), rho_(3, 3)) && near(rho_(1, 1), rho_(2, 2)) &&
+         std::abs(rho_(0, 3).imag()) <= tol &&
+         std::abs(rho_(1, 2).imag()) <= tol;
 }
 
 double TwoQubitState::fidelity(BellIndex idx) const {
-  if (repr_ == Repr::bell_diag) return bd_.fidelity(idx);
   return expectation(rho_, bell_vector(idx));
 }
 
@@ -89,12 +81,6 @@ std::pair<BellIndex, double> TwoQubitState::best_bell() const {
 
 void TwoQubitState::apply_channel(int side, const Channel& ch) {
   QNETP_ASSERT(side == 0 || side == 1);
-  if (repr_ == Repr::bell_diag && ch.is_pauli_mix()) {
-    bd_.apply_pauli_mix(ch.pauli_delta_probs());
-    invalidate_cache();
-    return;
-  }
-  demote();
   apply_ptm_to_side(rho_, ch.ptm(), side);
 }
 
@@ -103,11 +89,6 @@ void TwoQubitState::apply_pauli(int side, const Mat2& pauli) {
 }
 
 void TwoQubitState::apply_correction(int side, BellIndex from, BellIndex to) {
-  if (repr_ == Repr::bell_diag) {
-    bd_.apply_frame_shift(from ^ to);
-    invalidate_cache();
-    return;
-  }
   apply_pauli(side, pauli_correction(from, to));
 }
 
@@ -118,19 +99,12 @@ void TwoQubitState::apply_decay(int side, const DecayParams& params) {
     apply_dephasing(side, params.lambda);
     return;
   }
-  // Amplitude damping is not Bell-diagonal-preserving: loss-free fallback.
-  demote();
   apply_ptm_to_side(rho_, Ptm4::decay(params.gamma, params.lambda), side);
 }
 
 void TwoQubitState::apply_dephasing(int side, double lambda) {
   QNETP_ASSERT(side == 0 || side == 1);
   if (lambda <= 0.0) return;
-  if (repr_ == Repr::bell_diag) {
-    bd_.apply_dephasing(lambda);
-    invalidate_cache();
-    return;
-  }
   apply_ptm_to_side(rho_, Ptm4::dephasing(lambda), side);
 }
 
@@ -179,7 +153,6 @@ Mat2 basis_projector(Basis basis, int outcome) {
 int TwoQubitState::measure_side(int side, Basis basis, Rng& rng,
                                 Mat2* partner) {
   QNETP_ASSERT(side == 0 || side == 1);
-  demote();  // projective collapse leaves the Bell-diagonal family
   const Mat2 id = Mat2::identity();
   const Mat2 p0 = basis_projector(basis, 0);
   const Mat4 big0 = (side == 0) ? kron(p0, id) : kron(id, p0);
@@ -217,7 +190,6 @@ int TwoQubitState::measure_side(int side, Basis basis, Rng& rng,
 
 std::pair<int, int> TwoQubitState::measure_both(Basis left, Basis right,
                                                 Rng& rng) {
-  demote();
   double probs[4];
   double total = 0.0;
   for (int a = 0; a < 2; ++a)
@@ -250,7 +222,6 @@ std::pair<int, int> TwoQubitState::measure_both(Basis left, Basis right,
 std::pair<int, int> TwoQubitState::measure_both_along(const BlochAxis& left,
                                                       const BlochAxis& right,
                                                       Rng& rng) {
-  demote();  // arbitrary-axis projection has no Bell-diagonal closed form
   double probs[4];
   double total = 0.0;
   for (int a = 0; a < 2; ++a)
@@ -280,7 +251,7 @@ std::pair<int, int> TwoQubitState::measure_both_along(const BlochAxis& left,
 
 double TwoQubitState::correlator_along(const BlochAxis& left,
                                        const BlochAxis& right) const {
-  return (kron(left.observable(), right.observable()) * rho())
+  return (kron(left.observable(), right.observable()) * rho_)
       .trace()
       .real();
 }
@@ -297,31 +268,16 @@ double TwoQubitState::chsh_value() const {
 }
 
 double TwoQubitState::correlator(Basis basis) const {
-  if (repr_ == Repr::bell_diag) {
-    // <PP> is +/-1 on each Bell state: Z agrees on the Phi block, X on
-    // the "+" states, Y on {Psi+, Phi-}.
-    const BellDiagonal& c = bd_.c;
-    switch (basis) {
-      case Basis::z: return c[0] - c[1] + c[2] - c[3];
-      case Basis::x: return c[0] + c[1] - c[2] - c[3];
-      case Basis::y: return -c[0] + c[1] + c[2] - c[3];
-    }
-  }
   Mat2 p;
   switch (basis) {
     case Basis::z: p = pauli_z(); break;
     case Basis::x: p = pauli_x(); break;
     case Basis::y: p = pauli_y(); break;
   }
-  return (kron(p, p) * rho()).trace().real();
+  return (kron(p, p) * rho_).trace().real();
 }
 
 void TwoQubitState::renormalize() {
-  if (repr_ == Repr::bell_diag) {
-    bd_.normalize();
-    invalidate_cache();
-    return;
-  }
   // Hermitize and rescale to unit trace.
   rho_ = (rho_ + rho_.adjoint()) * Cplx{0.5, 0};
   const double tr = rho_.trace().real();

@@ -1,15 +1,8 @@
 // TwoQubitState: the exact quantum state of one entangled pair.
 //
-// Dual representation. States the protocol stack actually carries are
-// almost always Bell-diagonal (Werner sources, Pauli/dephasing noise,
-// swap and DEJMPS outputs), so the default fast path stores just the four
-// real Bell coefficients and applies Bell-diagonal-preserving operations
-// in closed form. Any operation that leaves the Bell-diagonal family —
-// amplitude damping (finite T1), arbitrary-axis or computational-basis
-// measurement, an arbitrary unitary — triggers an automatic, loss-free
-// fallback: the coefficients are materialised into the exact 4x4 density
-// matrix and evolution continues there via cached Pauli-transfer-matrix
-// superoperators. Both paths are exact; they agree to rounding error.
+// One representation: the 4x4 complex density matrix. Single-qubit
+// channels and memory decay act on it through cached Pauli-transfer-matrix
+// superoperators (ptm.hpp); measurements and swaps contract it exactly.
 //
 // Side 0 is by convention the qubit at the "left"/upstream node of the
 // pair.
@@ -19,7 +12,6 @@
 
 #include "qbase/rng.hpp"
 #include "qstate/bell.hpp"
-#include "qstate/bell_diag.hpp"
 #include "qstate/channels.hpp"
 #include "qstate/complex_mat.hpp"
 
@@ -62,16 +54,13 @@ class TwoQubitState {
   /// Product state |b1 b2><b1 b2| of computational basis kets.
   static TwoQubitState computational(int b1, int b2);
 
-  /// The density matrix (materialised and cached when the fast path is
-  /// active; reading it never changes the representation).
-  const Mat4& rho() const;
+  const Mat4& rho() const { return rho_; }
 
-  /// Whether the Bell-diagonal fast path is active. False after any
-  /// operation without a Bell-diagonal closed form (the loss-free
-  /// fallback to the exact density matrix).
-  bool is_bell_diagonal() const { return repr_ == Repr::bell_diag; }
-  /// Fast-path coefficients; only valid while is_bell_diagonal().
-  const BellDiagonal& bell_coeffs() const { return bd_.c; }
+  /// Whether rho is diagonal in the Bell basis (a classical mixture of
+  /// the four Bell states), to within 1e-12 per matrix entry. Pauli
+  /// channels and pure dephasing keep a state in this family; amplitude
+  /// damping and the single-click |11> admixture take it out.
+  bool is_bell_diagonal() const;
 
   /// <B_idx| rho |B_idx> — the simulation oracle for pair quality.
   double fidelity(BellIndex idx) const;
@@ -126,21 +115,7 @@ class TwoQubitState {
   }
 
  private:
-  enum class Repr : std::uint8_t { bell_diag, exact };
-
-  explicit TwoQubitState(const BellDiag& bd);
-
-  /// Loss-free fallback: materialise the coefficients into rho_ and
-  /// switch to the exact representation.
-  void demote();
-  void invalidate_cache() { rho_cache_valid_ = false; }
-
-  Repr repr_ = Repr::bell_diag;
-  BellDiag bd_ = BellDiag::maximally_mixed();
-  // Exact density matrix when repr_ == exact; otherwise a lazily
-  // materialised cache for const readers (rho(), correlators, teleport).
-  mutable Mat4 rho_;
-  mutable bool rho_cache_valid_ = false;
+  Mat4 rho_;
 };
 
 /// Basis eigenvectors as bra projectors: returns the projector onto the

@@ -38,6 +38,8 @@ TEST(EntangledPair, LazyDecoherenceAdvances) {
   // After 1 s on both sides, coherence drops by e^-2.
   const double f = p.oracle_fidelity(TimePoint::origin() + 1_s);
   EXPECT_NEAR(f, 0.5 * (1.0 + std::exp(-2.0)), 1e-9);
+  // Pure dephasing keeps the pair Bell-diagonal.
+  EXPECT_TRUE(p.state_at(TimePoint::origin() + 1_s).is_bell_diagonal());
 }
 
 TEST(EntangledPair, AdvanceIsIdempotentAtSameInstant) {
@@ -136,7 +138,7 @@ TEST(EntangledPair, BreakSideLeavesUncorrelatedReducedState) {
 
 TEST(EntangledPair, NoDecaySidesStayOnFastPathAndLoseNothing) {
   // Both sides T1 = T2 = infinity: advance must be a pure bookkeeping
-  // update — no channel application, no representation change.
+  // update — no channel application, so the Werner state is untouched.
   EntangledPair p(PairId{1}, TwoQubitState::werner(0.9, BellIndex::psi_plus()),
                   BellIndex::psi_plus(), side(1, 10), side(2, 20),
                   TimePoint::origin());
@@ -149,15 +151,15 @@ TEST(EntangledPair, NoDecaySidesStayOnFastPathAndLoseNothing) {
 
 TEST(EntangledPair, FiniteT1AdvanceMatchesLegacyChannelPipeline) {
   // The allocation-free decay application must agree with building the
-  // explicit Kraus channel for the same interval (the pre-fast-path
-  // pipeline), including the Bell-diagonal fallback.
+  // explicit Kraus channel for the same interval; finite T1 takes the
+  // state out of the Bell-diagonal family.
   const MemoryDecay electron{3600_s, 60_s};
   const MemoryDecay carbon{360_s, 60_s};
   EntangledPair p(PairId{1}, TwoQubitState::werner(0.93, BellIndex::phi_plus()),
                   BellIndex::phi_plus(), side(1, 10, electron),
                   side(2, 20, carbon), TimePoint::origin());
-  TwoQubitState reference(
-      TwoQubitState::werner(0.93, BellIndex::phi_plus()).rho());
+  TwoQubitState reference =
+      TwoQubitState::werner(0.93, BellIndex::phi_plus());
   TimePoint t = TimePoint::origin();
   for (int i = 0; i < 20; ++i) {
     const Duration dt = Duration::ms(37 * (i + 1));
@@ -168,7 +170,7 @@ TEST(EntangledPair, FiniteT1AdvanceMatchesLegacyChannelPipeline) {
     EXPECT_NEAR(f, reference.fidelity(BellIndex::phi_plus()), 1e-9)
         << "step " << i;
   }
-  EXPECT_FALSE(p.state_at(t).is_bell_diagonal());  // fallback triggered
+  EXPECT_FALSE(p.state_at(t).is_bell_diagonal());
 }
 
 TEST(EntangledPair, ExtraDephasingReducesCoherence) {
@@ -178,6 +180,7 @@ TEST(EntangledPair, ExtraDephasingReducesCoherence) {
   p.apply_extra_dephasing(0, 0.5);
   const double f = p.oracle_fidelity(TimePoint::origin());
   EXPECT_NEAR(f, 0.75, 1e-9);  // off-diagonal halved
+  EXPECT_TRUE(p.state_at(TimePoint::origin()).is_bell_diagonal());
 }
 
 }  // namespace

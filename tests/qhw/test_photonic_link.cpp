@@ -62,6 +62,8 @@ TEST(PhotonicLink, ProducedStateIsPhysical) {
     const auto state = link.produced_state(a);
     EXPECT_TRUE(state.valid_density(1e-7)) << "alpha=" << a;
     EXPECT_NEAR(state.rho().trace().real(), 1.0, 1e-9);
+    // The bright |11> admixture leaves the Bell-diagonal family.
+    EXPECT_FALSE(state.is_bell_diagonal()) << "alpha=" << a;
   }
 }
 
@@ -150,19 +152,6 @@ TEST(PhotonicLink, NearTermLinkIsMuchSlowerAndNoisier) {
   double alpha = 0.0;
   ASSERT_TRUE(nt.solve_alpha(0.75, &alpha));
   EXPECT_GT(nt.mean_generation_time(alpha).as_ms(), 100.0);
-}
-
-TEST(PhotonicLink, DoubleClickSchemeFixedFidelity) {
-  const PhotonicLinkModel dc(simulation_preset(), FiberParams::lab(2.0),
-                             HeraldScheme::double_click);
-  // Fidelity independent of alpha.
-  EXPECT_NEAR(dc.fidelity(0.0), dc.fidelity(0.4), 1e-12);
-  // Success quadratic in eta: much rarer than single click.
-  const PhotonicLinkModel sc = lab_link();
-  EXPECT_LT(dc.success_prob(0.1), sc.success_prob(0.1));
-  double alpha = 1.0;
-  EXPECT_TRUE(dc.solve_alpha(0.9, &alpha));
-  EXPECT_DOUBLE_EQ(alpha, 0.0);
 }
 
 TEST(PhotonicLink, DarkCountsPolluteLongLinks) {

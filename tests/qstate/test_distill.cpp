@@ -7,10 +7,11 @@ namespace {
 
 TEST(BellDiagonal, ExtractAndReconstruct) {
   const BellDiagonal coeffs{0.7, 0.1, 0.15, 0.05};
-  const TwoQubitState s = from_bell_diagonal(coeffs);
+  const TwoQubitState s = TwoQubitState::bell_diagonal(coeffs);
   const BellDiagonal back = bell_diagonal_of(s);
   for (int i = 0; i < 4; ++i) EXPECT_NEAR(back[i], coeffs[i], 1e-12);
   EXPECT_TRUE(s.valid_density());
+  EXPECT_TRUE(s.is_bell_diagonal());
 }
 
 TEST(BellDiagonal, WernerExtraction) {

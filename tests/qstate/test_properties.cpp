@@ -31,7 +31,7 @@ TwoQubitState random_bell_diagonal(Rng& rng, bool dominant_phi_plus) {
     }
     coeffs[0] += f;
   }
-  return from_bell_diagonal(coeffs);
+  return TwoQubitState::bell_diagonal(coeffs);
 }
 
 /// A random Werner-like pair with a random dominant Bell index.

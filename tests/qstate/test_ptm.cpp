@@ -136,30 +136,6 @@ TEST(Channels, InlineKrausCapacityAndMetadata) {
   const Channel full = decay.for_interval(0.5_s);
   EXPECT_EQ(full.kraus().size(), Channel::kMaxKraus);
   EXPECT_TRUE(full.is_trace_preserving(1e-9));
-
-  // Factory Pauli mixtures carry their Bell-delta probabilities.
-  EXPECT_TRUE(Channel::dephasing(0.4).is_pauli_mix());
-  EXPECT_TRUE(Channel::depolarizing(0.4).is_pauli_mix());
-  EXPECT_TRUE(Channel::bit_flip(0.4).is_pauli_mix());
-  EXPECT_TRUE(Channel::identity().is_pauli_mix());
-  EXPECT_FALSE(Channel::amplitude_damping(0.4).is_pauli_mix());
-  const auto q = Channel::pauli_channel(0.7, 0.1, 0.15, 0.05)
-                     .pauli_delta_probs();
-  EXPECT_DOUBLE_EQ(q[0], 0.7);   // I
-  EXPECT_DOUBLE_EQ(q[1], 0.1);   // X flips the Bell x-bit
-  EXPECT_DOUBLE_EQ(q[2], 0.05);  // Z flips the z-bit
-  EXPECT_DOUBLE_EQ(q[3], 0.15);  // Y flips both
-
-  // Pauli-mix composition XOR-convolves the delta probabilities.
-  const Channel composed =
-      Channel::bit_flip(0.2).after(Channel::dephasing(0.6));
-  ASSERT_TRUE(composed.is_pauli_mix());
-  const auto qc = composed.pauli_delta_probs();
-  // bit_flip: {0.8 I, 0.2 X}; dephasing(0.6): {0.7 I, 0.3 Z}.
-  EXPECT_NEAR(qc[0], 0.8 * 0.7, 1e-12);
-  EXPECT_NEAR(qc[1], 0.2 * 0.7, 1e-12);
-  EXPECT_NEAR(qc[2], 0.8 * 0.3, 1e-12);
-  EXPECT_NEAR(qc[3], 0.2 * 0.3, 1e-12);
 }
 
 TEST(Channels, OversizedCompositionRecompressesExactly) {
@@ -187,12 +163,6 @@ TEST(Channels, OversizedCompositionRecompressesExactly) {
       }
     }
   }
-  // Pauli-mix metadata still composes for the oversized case.
-  const Channel pp = Channel::depolarizing(0.3).after(Channel::dephasing(0.5));
-  ASSERT_TRUE(pp.is_pauli_mix());
-  double sum = 0.0;
-  for (double q : pp.pauli_delta_probs()) sum += q;
-  EXPECT_NEAR(sum, 1.0, 1e-12);
 }
 
 }  // namespace

@@ -42,6 +42,45 @@ TEST(Swap, OutcomesUniformForPureBellInputs) {
     EXPECT_NEAR(static_cast<double>(counts[c]) / n, 0.25, 0.03);
 }
 
+TEST(Swap, BellDiagonalInputsComposeByXorConvolution) {
+  // Appendix C: for Bell-diagonal inputs l and r every outcome m has
+  // probability 1/4 and the outer pair is Bell-diagonal with
+  //   out[k] = sum_j l[j] * r[j ^ k ^ m].
+  Rng coeff_rng(31004);
+  Rng rng(31005);
+  const auto random_coeffs = [&coeff_rng] {
+    BellDiagonal c;
+    double total = 0.0;
+    for (double& x : c) {
+      x = coeff_rng.uniform();
+      total += x;
+    }
+    for (double& x : c) x /= total;
+    return c;
+  };
+  int seen[4] = {0, 0, 0, 0};
+  for (int i = 0; i < 40; ++i) {
+    const BellDiagonal l = random_coeffs();
+    const BellDiagonal r = random_coeffs();
+    const auto out =
+        entanglement_swap(TwoQubitState::bell_diagonal(l),
+                          TwoQubitState::bell_diagonal(r), SwapNoise::ideal(),
+                          rng);
+    EXPECT_NEAR(out.probability, 0.25, 1e-12);
+    EXPECT_TRUE(out.state.is_bell_diagonal());
+    const unsigned m = out.true_outcome.code();
+    ++seen[m];
+    for (unsigned k = 0; k < 4; ++k) {
+      double expected = 0.0;
+      for (unsigned j = 0; j < 4; ++j) expected += l[j] * r[j ^ k ^ m];
+      EXPECT_NEAR(out.state.fidelity(BellIndex(static_cast<std::uint8_t>(k))),
+                  expected, 1e-12)
+          << "iteration " << i << " component " << k;
+    }
+  }
+  for (int c = 0; c < 4; ++c) EXPECT_GT(seen[c], 0) << "outcome " << c;
+}
+
 TEST(Swap, WernerInputsMatchAnalyticFormula) {
   Rng rng(3);
   for (double f1 : {0.7, 0.85, 0.95}) {

@@ -61,26 +61,21 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.6, 0.9, 1.0),
                        ::testing::Values(0.0, 0.01, 0.05)));
 
-// Photonic link properties across fibre lengths and both schemes.
-using LinkCase = std::tuple<double, qhw::HeraldScheme>;
-
-class LinkSweep : public ::testing::TestWithParam<LinkCase> {};
+// Photonic link properties across fibre lengths.
+class LinkSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(LinkSweep, ModelInvariantsHold) {
-  const auto [length_m, scheme] = GetParam();
+  const double length_m = GetParam();
   const qhw::PhotonicLinkModel link(
       qhw::simulation_preset(),
       length_m > 100.0 ? qhw::FiberParams::telecom(length_m)
-                       : qhw::FiberParams::lab(length_m),
-      scheme);
+                       : qhw::FiberParams::lab(length_m));
   EXPECT_GT(link.eta(), 0.0);
   EXPECT_LE(link.eta(), 1.0);
   EXPECT_GT(link.attempt_cycle(), Duration::zero());
   // The heralded state at the optimum is physical and dominated by the
   // announced Bell state whenever the link is usable at all.
-  const auto state = link.produced_state(
-      scheme == qhw::HeraldScheme::single_click ? link.optimal_alpha()
-                                                : 0.0);
+  const auto state = link.produced_state(link.optimal_alpha());
   EXPECT_TRUE(state.valid_density(1e-7));
   if (link.max_fidelity() > 0.5) {
     EXPECT_EQ(state.best_bell().first, link.announced_bell());
@@ -99,13 +94,12 @@ TEST_P(LinkSweep, ModelInvariantsHold) {
 }
 
 TEST_P(LinkSweep, LongerFibreIsSlower) {
-  const auto [length_m, scheme] = GetParam();
-  const auto make = [&](double len) {
+  const double length_m = GetParam();
+  const auto make = [](double len) {
     return qhw::PhotonicLinkModel(
         qhw::simulation_preset(),
         len > 100.0 ? qhw::FiberParams::telecom(len)
-                    : qhw::FiberParams::lab(len),
-        scheme);
+                    : qhw::FiberParams::lab(len));
   };
   const auto here = make(length_m);
   const auto longer = make(length_m * 2.0);
@@ -114,10 +108,8 @@ TEST_P(LinkSweep, LongerFibreIsSlower) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    LengthSchemeGrid, LinkSweep,
-    ::testing::Combine(::testing::Values(2.0, 50.0, 1000.0, 25000.0),
-                       ::testing::Values(qhw::HeraldScheme::single_click,
-                                         qhw::HeraldScheme::double_click)));
+    LengthGrid, LinkSweep,
+    ::testing::Values(2.0, 50.0, 1000.0, 25000.0));
 
 }  // namespace
 }  // namespace qnetp::qstate

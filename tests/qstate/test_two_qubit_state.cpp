@@ -14,6 +14,7 @@ TEST(TwoQubitState, DefaultIsMaximallyMixed) {
   for (BellIndex b : all_bell_indices())
     EXPECT_NEAR(s.fidelity(b), 0.25, 1e-12);
   EXPECT_TRUE(s.valid_density());
+  EXPECT_TRUE(s.is_bell_diagonal());
 }
 
 TEST(TwoQubitState, BellStatesHaveUnitFidelity) {
@@ -26,6 +27,7 @@ TEST(TwoQubitState, BellStatesHaveUnitFidelity) {
       }
     }
     EXPECT_TRUE(s.valid_density());
+    EXPECT_TRUE(s.is_bell_diagonal());
   }
 }
 
@@ -37,6 +39,7 @@ TEST_P(WernerParam, WernerStateProperties) {
   EXPECT_NEAR(s.fidelity(BellIndex::psi_plus()), f, 1e-12);
   EXPECT_NEAR(s.fidelity(BellIndex::phi_plus()), (1 - f) / 3.0, 1e-12);
   EXPECT_TRUE(s.valid_density());
+  EXPECT_TRUE(s.is_bell_diagonal());
   const auto [best, bf] = s.best_bell();
   if (f > 0.25) {
     EXPECT_EQ(best, BellIndex::psi_plus());
@@ -53,6 +56,7 @@ TEST(TwoQubitState, ComputationalStates) {
   EXPECT_NEAR(s.fidelity(BellIndex::psi_plus()), 0.5, 1e-12);
   EXPECT_NEAR(s.fidelity(BellIndex::psi_minus()), 0.5, 1e-12);
   EXPECT_NEAR(s.fidelity(BellIndex::phi_plus()), 0.0, 1e-12);
+  EXPECT_FALSE(s.is_bell_diagonal());
 }
 
 TEST(TwoQubitState, PauliCorrectionRestoresFrame) {
