@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "qbase/assert.hpp"
+
 namespace qnetp::qstate {
 namespace {
 
@@ -21,6 +23,18 @@ TEST(BellDiagonal, WernerExtraction) {
   EXPECT_NEAR(d[1], 0.05, 1e-12);
   EXPECT_NEAR(d[2], 0.05, 1e-12);
   EXPECT_NEAR(d[3], 0.05, 1e-12);
+}
+
+TEST(BellDiagonal, ExtractionClampsAndRenormalises) {
+  // Rounding negatives clamp to zero and the rest renormalise to one.
+  const TwoQubitState s =
+      TwoQubitState::bell_diagonal({0.6, -1e-12, 0.2, 0.2});
+  const BellDiagonal d = bell_diagonal_of(s);
+  EXPECT_EQ(d[1], 0.0);
+  EXPECT_NEAR(d[0] + d[1] + d[2] + d[3], 1.0, 1e-15);
+  // A state with no Bell-basis mass cannot be normalised.
+  EXPECT_THROW((void)bell_diagonal_of(TwoQubitState::bell_diagonal({})),
+               AssertionError);
 }
 
 TEST(Dejmps, WernerRecurrenceKnownValue) {

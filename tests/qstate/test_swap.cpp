@@ -81,6 +81,90 @@ TEST(Swap, BellDiagonalInputsComposeByXorConvolution) {
   for (int c = 0; c < 4; ++c) EXPECT_GT(seen[c], 0) << "outcome " << c;
 }
 
+TEST(Swap, RandomBellDiagonalSequencesMatchClosedForms) {
+  // Random chains of the operations that keep a pair Bell-diagonal —
+  // pure-dephasing memory decay, Pauli channels, frame corrections and
+  // ideal swaps with fresh Bell-diagonal partners — must track the
+  // Appendix C coefficient algebra at every step. A Pauli mixture with
+  // probabilities q indexed by Bell-index delta (I: 0, X: 1, Z: 2, Y: 3)
+  // maps c to out[k] = sum_d q[d] * c[k ^ d].
+  Rng seq_rng(42001);
+  const auto random_coeffs = [&seq_rng] {
+    BellDiagonal c;
+    double total = 0.0;
+    for (double& x : c) {
+      x = seq_rng.uniform();
+      total += x;
+    }
+    for (double& x : c) x /= total;
+    return c;
+  };
+  const auto pauli_mix = [](const BellDiagonal& c, const BellDiagonal& q) {
+    BellDiagonal out{};
+    for (unsigned k = 0; k < 4; ++k)
+      for (unsigned d = 0; d < 4; ++d) out[k] += q[d] * c[k ^ d];
+    return out;
+  };
+  for (int trial = 0; trial < 60; ++trial) {
+    BellDiagonal c = random_coeffs();
+    TwoQubitState s = TwoQubitState::bell_diagonal(c);
+    for (int step = 0; step < 25; ++step) {
+      const int op = static_cast<int>(seq_rng.uniform_int(4));
+      const int side = static_cast<int>(seq_rng.uniform_int(2));
+      switch (op) {
+        case 0: {  // pure-dephasing memory decay (T1 = inf)
+          const MemoryDecay decay{Duration::max(),
+                                  Duration::seconds(seq_rng.uniform(0.5, 5))};
+          const DecayParams params =
+              decay.params_for(Duration::ms(seq_rng.uniform(0.1, 400)));
+          s.apply_decay(side, params);
+          c = pauli_mix(c, {1.0 - params.lambda / 2, 0.0, params.lambda / 2,
+                            0.0});
+          break;
+        }
+        case 1: {  // random Pauli channel (pi, px, py, pz)
+          const BellDiagonal p = random_coeffs();
+          s.apply_channel(side, Channel::pauli_channel(p[0], p[1], p[2], p[3]));
+          c = pauli_mix(c, {p[0], p[1], p[3], p[2]});
+          break;
+        }
+        case 2: {  // frame correction
+          const BellIndex from{
+              static_cast<std::uint8_t>(seq_rng.uniform_int(4))};
+          const BellIndex to{static_cast<std::uint8_t>(seq_rng.uniform_int(4))};
+          s.apply_correction(side, from, to);
+          BellDiagonal q{};
+          q[(from ^ to).code()] = 1.0;
+          c = pauli_mix(c, q);
+          break;
+        }
+        case 3: {  // ideal swap with a fresh random partner
+          const BellDiagonal r = random_coeffs();
+          Rng rng(seq_rng.next());
+          const SwapOutcome out =
+              entanglement_swap(s, TwoQubitState::bell_diagonal(r),
+                                SwapNoise::ideal(), rng);
+          ASSERT_NEAR(out.probability, 0.25, 1e-9) << "step " << step;
+          const unsigned m = out.true_outcome.code();
+          BellDiagonal next{};
+          for (unsigned k = 0; k < 4; ++k)
+            for (unsigned j = 0; j < 4; ++j) next[k] += c[j] * r[j ^ k ^ m];
+          c = next;
+          s = out.state;
+          break;
+        }
+      }
+      ASSERT_TRUE(s.is_bell_diagonal())
+          << "trial " << trial << " step " << step << " op " << op;
+      for (BellIndex b : all_bell_indices()) {
+        ASSERT_NEAR(s.fidelity(b), c[b.code()], 1e-9)
+            << "trial " << trial << " step " << step << " op " << op << " on "
+            << b.to_string();
+      }
+    }
+  }
+}
+
 TEST(Swap, WernerInputsMatchAnalyticFormula) {
   Rng rng(3);
   for (double f1 : {0.7, 0.85, 0.95}) {

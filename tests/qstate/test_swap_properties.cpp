@@ -61,15 +61,22 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.6, 0.9, 1.0),
                        ::testing::Values(0.0, 0.01, 0.05)));
 
-// Photonic link properties across fibre lengths.
-class LinkSweep : public ::testing::TestWithParam<double> {};
+// Photonic link properties across fibre lengths and both hardware
+// presets (the paper's simulation and near-term parameters).
+using LinkCase = std::tuple<double, bool>;  // (length_m, near_term)
 
-TEST_P(LinkSweep, ModelInvariantsHold) {
-  const double length_m = GetParam();
-  const qhw::PhotonicLinkModel link(
-      qhw::simulation_preset(),
+qhw::PhotonicLinkModel make_link(double length_m, bool near_term) {
+  return qhw::PhotonicLinkModel(
+      near_term ? qhw::near_term_preset() : qhw::simulation_preset(),
       length_m > 100.0 ? qhw::FiberParams::telecom(length_m)
                        : qhw::FiberParams::lab(length_m));
+}
+
+class LinkSweep : public ::testing::TestWithParam<LinkCase> {};
+
+TEST_P(LinkSweep, ModelInvariantsHold) {
+  const auto [length_m, near_term] = GetParam();
+  const qhw::PhotonicLinkModel link = make_link(length_m, near_term);
   EXPECT_GT(link.eta(), 0.0);
   EXPECT_LE(link.eta(), 1.0);
   EXPECT_GT(link.attempt_cycle(), Duration::zero());
@@ -94,22 +101,47 @@ TEST_P(LinkSweep, ModelInvariantsHold) {
 }
 
 TEST_P(LinkSweep, LongerFibreIsSlower) {
-  const double length_m = GetParam();
-  const auto make = [](double len) {
-    return qhw::PhotonicLinkModel(
-        qhw::simulation_preset(),
-        len > 100.0 ? qhw::FiberParams::telecom(len)
-                    : qhw::FiberParams::lab(len));
-  };
-  const auto here = make(length_m);
-  const auto longer = make(length_m * 2.0);
+  const auto [length_m, near_term] = GetParam();
+  const auto here = make_link(length_m, near_term);
+  const auto longer = make_link(length_m * 2.0, near_term);
   EXPECT_LE(longer.eta(), here.eta());
   EXPECT_GE(longer.attempt_cycle(), here.attempt_cycle());
 }
 
+TEST_P(LinkSweep, SolvedAlphaHeraldsTheRequestedState) {
+  // solve_alpha's answer, fed back through produced_state, must give a
+  // single-click pair whose exact fidelity to the announced Bell state is
+  // the model's fidelity(alpha) and meets the request.
+  const auto [length_m, near_term] = GetParam();
+  const qhw::PhotonicLinkModel link = make_link(length_m, near_term);
+  const double f_max = link.max_fidelity();
+  for (double frac : {0.25, 0.5, 0.75, 0.99}) {
+    const double f_min = 0.5 + frac * (f_max - 0.5);
+    double alpha = 0.0;
+    if (f_max <= 0.5) {
+      EXPECT_FALSE(link.solve_alpha(0.5 + 1e-6, &alpha));
+      continue;
+    }
+    ASSERT_TRUE(link.solve_alpha(f_min, &alpha)) << "f_min=" << f_min;
+    EXPECT_GE(alpha, qhw::PhotonicLinkModel::min_alpha);
+    EXPECT_LE(alpha, qhw::PhotonicLinkModel::max_alpha);
+    EXPECT_GE(link.fidelity(alpha), f_min - 1e-9);
+    const auto state = link.produced_state(alpha);
+    EXPECT_NEAR(state.fidelity(link.announced_bell()), link.fidelity(alpha),
+                1e-9);
+    EXPECT_TRUE(state.valid_density(1e-7));
+    // The bright |11> term keeps every heralded pair off the
+    // Bell-diagonal family.
+    EXPECT_FALSE(state.is_bell_diagonal()) << "alpha=" << alpha;
+  }
+  double alpha = 0.0;
+  EXPECT_FALSE(link.solve_alpha(f_max + 1e-6, &alpha));
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    LengthGrid, LinkSweep,
-    ::testing::Values(2.0, 50.0, 1000.0, 25000.0));
+    LengthPresetGrid, LinkSweep,
+    ::testing::Combine(::testing::Values(2.0, 50.0, 1000.0, 25000.0),
+                       ::testing::Bool()));
 
 }  // namespace
 }  // namespace qnetp::qstate
