@@ -1,6 +1,7 @@
 #include "des/sharded.hpp"
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 
 #include "qbase/assert.hpp"
@@ -44,7 +45,7 @@ ShardedSimulator::ShardedSimulator(std::size_t shards) {
 ShardedSimulator::~ShardedSimulator() {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    shutdown_ = true;
+    shutdown_.store(true);
   }
   cv_work_.notify_all();
   for (auto& w : workers_) w.join();
@@ -157,24 +158,46 @@ void ShardedSimulator::ensure_workers() {
   }
 }
 
+// Yield-polls before a waiting thread parks. Most multi-shard windows
+// hold a handful of events, so the other side usually answers within a
+// few polls; the bound is a count, not a time, because src/ reads no
+// clock. Yielding (rather than a pause loop) keeps an oversubscribed host
+// making progress.
+constexpr int kSpinPolls = 1000;
+
+// Lost-wake-up freedom is a Dekker pair on seq_cst atomics: a parking
+// thread increments parked_ and then re-reads the barrier state; a waker
+// publishes the barrier state and then reads parked_. One of the two
+// must see the other's write, so either the sleeper never blocks or the
+// waker takes mu_ — which the sleeper holds from its increment until
+// cv.wait releases it — and notifies.
+template <typename Ready>
+void ShardedSimulator::await(std::condition_variable& cv, Ready ready) {
+  for (int i = 0; i < kSpinPolls; ++i) {
+    if (ready()) return;
+    std::this_thread::yield();
+  }
+  std::unique_lock<std::mutex> lk(mu_);
+  parked_.fetch_add(1);
+  while (!ready()) cv.wait(lk);
+  parked_.fetch_sub(1);
+}
+
+void ShardedSimulator::wake(std::condition_variable& cv) {
+  if (parked_.load() == 0) return;
+  { std::lock_guard<std::mutex> lk(mu_); }
+  cv.notify_all();
+}
+
 void ShardedSimulator::worker_loop(std::size_t shard) {
   if (thread_init_) thread_init_(shard);
   std::uint64_t seen = 0;
   for (;;) {
-    TimePoint end;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_work_.wait(lk, [&] { return shutdown_ || epoch_ != seen; });
-      if (shutdown_) return;
-      seen = epoch_;
-      end = window_end_;
-    }
-    run_shard_window(shard, end);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      --running_;
-      if (running_ == 0) cv_done_.notify_one();
-    }
+    await(cv_work_, [&] { return shutdown_.load() || epoch_.load() != seen; });
+    if (shutdown_.load()) return;
+    ++seen;  // the driver waits for every worker, so no epoch is skipped
+    run_shard_window(shard, window_end_);
+    if (running_.fetch_sub(1) == 1) wake(cv_done_);
   }
 }
 
@@ -224,18 +247,12 @@ std::uint64_t ShardedSimulator::run_until(TimePoint horizon) {
         }
       }
     } else {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        window_end_ = end;
-        ++epoch_;
-        running_ = S - 1;
-      }
-      cv_work_.notify_all();
+      window_end_ = end;
+      running_.store(S - 1);
+      epoch_.fetch_add(1);  // publishes window_end_ and the injected events
+      wake(cv_work_);
       run_shard_window(0, end);
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_done_.wait(lk, [this] { return running_ == 0; });
-      }
+      await(cv_done_, [this] { return running_.load() == 0; });
     }
   }
 

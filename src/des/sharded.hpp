@@ -22,9 +22,14 @@
 //
 // Threading model: shard 0 runs on the driver thread; shards 1..S-1 each
 // get a persistent worker thread released per window through a
-// generation-counted barrier. S == 1 never spawns threads or takes a
-// lock. A window whose pending events all live on one shard is run
-// inline on the driver thread ("solo window"), skipping the barrier.
+// spin-then-park barrier: the driver publishes a window by bumping an
+// atomic epoch and waits for an atomic count of running workers to reach
+// zero. Both sides poll (yielding) for a bounded number of iterations
+// first, since a typical multi-shard window is only a few events long,
+// and only then block on a condition variable. S == 1 never spawns
+// threads or takes a lock. A window whose pending events all live on one
+// shard is run inline on the driver thread ("solo window"), skipping the
+// barrier.
 #pragma once
 
 #include <atomic>
@@ -130,6 +135,12 @@ class ShardedSimulator {
 
   void ensure_workers();
   void worker_loop(std::size_t shard);
+  /// Spin, then park on `cv` until `ready()` holds; `ready` reads only
+  /// the barrier atomics.
+  template <typename Ready>
+  void await(std::condition_variable& cv, Ready ready);
+  /// Wake the threads parked on `cv`, if there are any.
+  void wake(std::condition_variable& cv);
   void run_shard_window(std::size_t shard, TimePoint window_end);
   std::size_t inject_mailboxes();
   std::uint64_t total_executed() const;
@@ -141,15 +152,19 @@ class ShardedSimulator {
   TimePoint committed_ = TimePoint::origin();
   std::atomic<bool> stop_{false};
 
-  // Window barrier (only used when shard_count() > 1).
+  // Window barrier (only used when shard_count() > 1). The driver writes
+  // window_end_ before the release increment of epoch_; workers read it
+  // after an acquire load. Workers park on cv_work_, the driver on
+  // cv_done_; parked_ counts the threads that may be blocked on either.
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
-  std::uint64_t epoch_ = 0;
+  std::atomic<std::uint64_t> epoch_{0};
   TimePoint window_end_ = TimePoint::origin();
-  std::size_t running_ = 0;
-  bool shutdown_ = false;
+  std::atomic<std::size_t> running_{0};
+  std::atomic<std::size_t> parked_{0};
+  std::atomic<bool> shutdown_{false};
 };
 
 }  // namespace qnetp::des

@@ -1,11 +1,14 @@
 // ShardedSimulator: conservative windows, canonical mailbox merge,
-// lookahead enforcement, stop/resume and worker thread plumbing.
+// lookahead enforcement, stop/resume, worker thread plumbing and the
+// spin-then-park window barrier.
 #include "des/sharded.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "qbase/assert.hpp"
@@ -186,6 +189,127 @@ TEST(Sharded, ExecutedCountInvariantAcrossShardCounts) {
     return ssim.events_executed();
   };
   EXPECT_EQ(run_program(1) * 4, run_program(4));  // 5 events per shard
+}
+
+TEST(Sharded, ManyTinyWindowsMatchSingleShard) {
+  // Three ping-pong chains over four parties with a 10 us lookahead.
+  // Chain A (0 <-> 1) hops exactly one lookahead apart, so most windows
+  // hold one of its events; chains B (2 <-> 3) and C (3 <-> 0) land in
+  // some windows and not others. With one party per shard that gives
+  // thousands of windows, alternating between solo windows (run inline on
+  // the driver) and multi-shard windows (released through the barrier).
+  struct Party {
+    std::vector<TimePoint> hits;  // written only by the party's shard
+    int on_driver = 0;
+    int on_worker = 0;
+  };
+  struct Result {
+    std::vector<Party> parties;
+    std::uint64_t executed = 0;
+  };
+  const auto run_program = [](std::size_t shards) {
+    ShardedSimulator ssim(shards);
+    ssim.set_lookahead(10_us);
+    Result r;
+    r.parties.resize(4);
+    const std::thread::id driver = std::this_thread::get_id();
+    struct Hop {
+      ShardedSimulator* ssim;
+      std::vector<Party>* parties;
+      std::thread::id driver;
+      std::size_t from, to;
+      Duration latency;
+      std::uint64_t chain;
+      int remaining;
+      void operator()() const {
+        const TimePoint now = ShardedSimulator::executing()->now();
+        Party& me = (*parties)[from];
+        me.hits.push_back(now);
+        ++(std::this_thread::get_id() == driver ? me.on_driver
+                                                 : me.on_worker);
+        if (remaining <= 0) return;
+        const std::size_t S = ssim->shard_count();
+        Hop next{ssim, parties, driver, to, from, latency, chain,
+                 remaining - 1};
+        if (from % S != to % S) {
+          ssim->post(from % S, to % S, now + latency, chain,
+                     static_cast<std::uint64_t>(remaining), std::move(next));
+        } else {
+          ssim->shard(to % S).schedule_at(now + latency, std::move(next));
+        }
+      }
+    };
+    const auto start = [&](std::size_t a, std::size_t b, Duration first,
+                           Duration latency, std::uint64_t chain, int hops) {
+      ssim.shard(a % shards)
+          .schedule(first, Hop{&ssim, &r.parties, driver, a, b, latency,
+                               chain, hops});
+    };
+    start(0, 1, 5_us, 10_us, /*chain=*/1, 3000);
+    start(2, 3, 7_us, 17_us, /*chain=*/2, 1800);
+    start(3, 0, 11_us, 23_us, /*chain=*/3, 1300);
+    ssim.run_until(TimePoint::origin() + 100_ms);
+    r.executed = ssim.events_executed();
+    return r;
+  };
+  const Result one = run_program(1);
+  const Result four = run_program(4);
+  EXPECT_EQ(one.executed, 3001u + 1801u + 1301u);
+  EXPECT_EQ(four.executed, one.executed);
+  for (std::size_t p = 0; p < 4; ++p) {
+    EXPECT_EQ(four.parties[p].hits, one.parties[p].hits) << "party " << p;
+  }
+  // Both window kinds really occurred: shard 1 runs on the driver in solo
+  // windows and on its worker thread in multi-shard windows.
+  EXPECT_GT(four.parties[1].on_driver, 100);
+  EXPECT_GT(four.parties[1].on_worker, 100);
+}
+
+TEST(Sharded, RepeatedRunsAcrossParkAndSpin) {
+  // Hundreds of run_until calls, each holding one window with an event on
+  // every shard. Every few runs a worker's event outlasts the driver's
+  // spin (so the driver parks), or the driver idles between runs (so the
+  // workers park); the rest complete while both sides are still
+  // spinning. A lost wake-up on either side hangs here.
+  constexpr std::size_t kShards = 3;
+  constexpr int kRuns = 300;
+  ShardedSimulator ssim(kShards);
+  ssim.set_lookahead(1_ms);
+  std::vector<int> ran(kShards, 0);  // slot i written only by shard i
+  for (int k = 1; k <= kRuns; ++k) {
+    const TimePoint at = TimePoint::origin() + Duration::ms(k);
+    for (std::size_t i = 0; i < kShards; ++i) {
+      const bool slow = i == 1 && k % 7 == 0;
+      ssim.shard(i).schedule_at(at, [&ran, i, slow] {
+        if (slow) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        ++ran[i];
+      });
+    }
+    EXPECT_EQ(ssim.run_until(at), kShards);
+    EXPECT_EQ(ssim.now(), at);
+    if (k % 10 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(ran, std::vector<int>(kShards, kRuns));
+  EXPECT_EQ(ssim.events_executed(), kShards * kRuns);
+  EXPECT_EQ(ssim.events_pending(), 0u);
+}
+
+TEST(Sharded, DestroysWithParkedOrSpinningWorkers) {
+  const auto run_once = [](bool idle_gap) {
+    ShardedSimulator ssim(4);
+    ssim.set_lookahead(1_ms);
+    std::vector<int> ran(4, 0);
+    for (std::size_t i = 0; i < 4; ++i) {
+      ssim.shard(i).schedule(1_ms, [&ran, i] { ++ran[i]; });
+    }
+    ssim.run_until(TimePoint::origin() + 2_ms);
+    EXPECT_EQ(ran, std::vector<int>(4, 1));
+    // Without a gap the workers are still polling for the next window;
+    // after one they have parked on the condition variable.
+    if (idle_gap) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  };
+  for (int i = 0; i < 20; ++i) run_once(/*idle_gap=*/false);
+  run_once(/*idle_gap=*/true);
 }
 
 }  // namespace
